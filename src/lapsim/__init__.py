@@ -8,7 +8,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import IntMatrix, SnfResult
+from .linalg import IntMatrix
 from .graph import Graph, family, laplacian, spanning_tree_count
 from .simplex import LaplacianSimplex, build, facets, is_reflexive
 from .ehrhart import HStarVector, hstar
@@ -28,7 +28,6 @@ __all__ = [
     "PropertyReport",
     "ShapeError",
     "SingularMatrixError",
-    "SnfResult",
     "analyze",
     "build",
     "facets",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
 from . import ehrhart, linalg, simplex as splx
@@ -135,7 +136,7 @@ def verify_prime_cycle_formula(n: int) -> bool:
         return False
     if h[m] <= 1 or h[m] != h[n - m - 1]:
         return False
-    totient = sum(1 for k in range(1, n) if _gcd(k, n) == 1)
+    totient = sum(1 for k in range(1, n) if gcd(k, n) == 1)
     if h[(n - 1) // 2] < n * totient + 1:
         return False
     if divisor == 1:  # n prime: exact shape
@@ -144,12 +145,6 @@ def verify_prime_cycle_formula(n: int) -> bool:
         if list(h) != expected:
             return False
     return True
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _factorize(n):

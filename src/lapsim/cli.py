@@ -80,9 +80,12 @@ def _parse_graph_spec(spec):
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise DomainError(f"bad graph spec {spec!r}; want family:n[:seed]")
-        kind, n = parts[0], int(parts[1])
-        seed = int(parts[2]) if len(parts) == 3 else None
-        return graphs.family(kind, n, seed=seed)
+        try:
+            n = int(parts[1])
+            seed = int(parts[2]) if len(parts) == 3 else None
+        except ValueError as exc:
+            raise DomainError(f"bad graph spec {spec!r}; n and seed must be integers") from exc
+        return graphs.family(parts[0], n, seed=seed)
     return graphs.read_edge_list(spec)
 
 

@@ -1,23 +1,26 @@
 """h*-vectors, fundamental parallelepiped enumeration, and point counting.
 
-The generic path enumerates the lattice points of the half-open
-parallelepiped spanned by the lifted vertex rows by walking the cokernel of
-the lifted matrix via its Smith normal form: one coset, one point.  Closed
-forms cover trees, odd cycles, and complete graphs, and a dilate-counting
-scan over the facet description provides an independent oracle.
+The generic path (strategy name ``generic_snf``, kept for compatibility)
+walks the lattice points of the half-open parallelepiped spanned by the
+lifted vertex rows M = [L_B | 1] as a finite group.  With A = adj(M) and
+q = |det M|, a point r M / q with 0 <= r < q corresponds to r in
+Lambda = (Z^n A + qZ^n) / qZ^n, and its height is sum(r) / q.  An odometer
+over a modular echelon basis of Lambda visits each of the q points once,
+with every entry kept below q.  Closed forms cover trees, odd cycles, and
+complete graphs, and a dilate-counting scan over the facet description
+provides an independent oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from math import comb, gcd
+from operator import mul
+from typing import NamedTuple
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
-from . import linalg, simplex as splx
-from .linalg import IntMatrix
+from . import linalg
 from .simplex import LaplacianSimplex
 
 DEFAULT_FPP_CAP = 10**7
@@ -63,17 +66,40 @@ class HStarVector:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class FppPoint:
+class FppPoint(NamedTuple):
     """A lattice point of the fundamental parallelepiped.
 
-    ``point`` includes the height as its last coordinate; ``coeffs`` are the
-    half-open barycentric coefficients in [0, 1).
+    ``point`` includes the height as its last coordinate.  Its barycentric
+    coefficients in [0, 1) are ``r[i] / q``: ``r`` is an integer vector with
+    0 <= r[i] < q and r . M == q * point for the lifted matrix M.
     """
 
     point: tuple
     height: int
-    coeffs: tuple
+    r: tuple
+    q: int
+
+
+def _group_walk(basis, q, n):
+    """Yield c_0 b_0 + ... + c_k b_k mod q for every digit vector 0 <= c_j < m_j.
+
+    ``basis`` holds pairs (b_j, m_j); an odometer turns the last digit
+    fastest, so each step adds one b_j and undoes the digits that wrapped.
+    """
+    undo = [tuple((1 - m) * x % q for x in b) for b, m in basis]
+    digits = [0] * len(basis)
+    cur = (0,) * n
+    while True:
+        yield cur
+        j = len(basis) - 1
+        while j >= 0 and digits[j] == basis[j][1] - 1:
+            digits[j] = 0
+            cur = tuple([(x + y) % q for x, y in zip(cur, undo[j])])
+            j -= 1
+        if j < 0:
+            return
+        digits[j] += 1
+        cur = tuple([(x + y) % q for x, y in zip(cur, basis[j][0])])
 
 
 def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
@@ -84,23 +110,25 @@ def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
             f"fundamental parallelepiped has {vol} points, cap is {cap}",
             required=vol,
         )
-    M = S.lifted
-    adj, s = S.lifted_inverse_scaled  # M @ adj == s * I
+    adj, s = S.lifted_inverse_scaled  # lifted @ adj == s * I
     q = abs(s)
-    sign = 1 if s > 0 else -1
-    snf = linalg.smith_normal_form(M)
-    v_adj, v_det = linalg.inverse_scaled(snf.V)
-    v_inv = IntMatrix([[x * v_det for x in row] for row in v_adj.rows])  # v_det = +-1
-    for t in itertools.product(*(range(d) for d in snf.diagonal)):
-        y = v_inv.mul_row_vector(t)  # coset representative in Z^n
-        u = adj.mul_row_vector(y)
-        r = tuple((sign * x) % q for x in u)  # fractional parts, scaled by q
-        w = M.mul_row_vector(r)
-        assert all(x % q == 0 for x in w)
-        point = tuple(x // q for x in w)
+    basis = [
+        (b, q // b[j])
+        for j, b in enumerate(linalg.hermite_basis_mod(adj, q))
+        if b[j] != q
+    ]
+    cols = list(zip(*S.lifted.rows))
+    for r in _group_walk(basis, q, S.n):
+        point = []
+        for c in cols:
+            x, rem = divmod(sum(map(mul, r, c)), q)
+            if rem:
+                raise InternalInconsistencyError("parallelepiped point is not integral")
+            point.append(x)
         height = point[-1]
-        assert 0 <= height < S.n
-        yield FppPoint(point, height, tuple(Fraction(x, q) for x in r))
+        if not 0 <= height < S.n:
+            raise InternalInconsistencyError(f"parallelepiped point at height {height}")
+        yield FppPoint(tuple(point), height, r, q)
 
 
 def _fpp_height_histogram(S, cap):
@@ -122,7 +150,8 @@ def hstar_cycle_closed_form(n: int) -> HStarVector:
     for alpha in range(n):
         for beta in range(n):
             total = sum((alpha + j * beta) % n for j in range(n))
-            assert total % n == 0
+            if total % n:
+                raise InternalInconsistencyError(f"kernel sum {total} is not divisible by {n}")
             counts[total // n] += 1
     return HStarVector(tuple(counts), "cycle_closed_form")
 
@@ -196,15 +225,16 @@ def ehrhart_eval(h, t: int) -> int:
 
 
 def hstar_from_counts(counts) -> HStarVector:
-    """Invert dilate counts L(0..n-1) to the unique h*-vector."""
+    """Invert dilate counts L(0..n-1) to the unique h*-vector.
+
+    h*(z) = (1 - z)^n * sum_t L(t) z^t, so h*_i = sum_j (-1)^j C(n, j) L(i - j).
+    """
     counts = list(counts)
     n = len(counts)
-    d = n - 1
-    A = IntMatrix([[comb(t + d - i, d) for i in range(n)] for t in range(n)])
-    sol = linalg.solve_exact(A, counts)
-    if any(x.denominator != 1 for x in sol):
-        raise InternalInconsistencyError("dilate counts gave a non-integral h*")
-    return HStarVector(tuple(int(x) for x in sol), "dilate_interpolation")
+    entries = [
+        sum((-1) ** j * comb(n, j) * counts[i - j] for j in range(i + 1)) for i in range(n)
+    ]
+    return HStarVector(tuple(entries), "dilate_interpolation")
 
 
 # -- exact dilate-point scan (oracle path) -----------------------------------
@@ -260,7 +290,7 @@ def _scan_lattice_points(S: LaplacianSimplex, t: int, cap: int):
         raise DomainError("dilate factor must be nonnegative")
     d = S.dim
     base = []
-    for f in splx.facets(S):
+    for f in S.facet_list:
         norm = _normalize_ineq(f.normal, t * f.local_index)
         if norm:
             base.append(norm)

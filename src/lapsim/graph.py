@@ -11,7 +11,7 @@ import bisect
 import random
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistencyError
 from .linalg import IntMatrix
 
 FAMILIES = ("path", "cycle", "complete", "star", "random_tree")
@@ -114,7 +114,8 @@ def spanning_tree_count(G: Graph) -> int:
     from .linalg import determinant
 
     kappa = determinant(laplacian(G).submatrix([0], [0]))
-    assert kappa >= 1
+    if kappa < 1:
+        raise InternalInconsistencyError(f"connected graph with {kappa} spanning trees")
     return kappa
 
 
@@ -304,7 +305,11 @@ def format_edge_list(G: Graph) -> str:
 
 def read_edge_list(path) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not ASCII text (byte {exc.start})") from exc
+    return parse_edge_list(text)
 
 
 def write_edge_list(G: Graph, path):

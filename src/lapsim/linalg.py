@@ -1,19 +1,17 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-All matrix entries are Python ints (arbitrary precision) and all rational
-results are `fractions.Fraction`, which normalizes to lowest terms with a
-positive denominator automatically.  Nothing here ever touches floating
-point.
+All matrix entries are Python ints (arbitrary precision), and every routine
+here is integer-only: fraction-free (Bareiss) elimination for determinants
+and the adjugate, and extended-gcd row reduction modulo a determinant for
+echelon bases of lattices that contain qZ^n.  Nothing here ever touches
+floating point.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import ShapeError, SingularMatrixError, DomainError
+from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
 
 
 class IntMatrix:
@@ -100,19 +98,6 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]})"
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form U @ M @ V = D with unimodular U, V."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    @property
-    def diagonal(self):
-        return tuple(self.D.rows[i][i] for i in range(min(self.D.shape)))
-
-
 def determinant(M: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not M.is_square:
@@ -143,49 +128,85 @@ def minor(M: IntMatrix, delete_rows=(), delete_cols=()) -> int:
     return determinant(M.submatrix(delete_rows, delete_cols))
 
 
-def solve_exact(M: IntMatrix, b):
-    """Solve M x = b exactly; returns a tuple of Fractions.
+def inverse_scaled(M: IntMatrix):
+    """Return (A, s) with integer A and M @ A == s * I, s = det(M).
 
-    ``b`` may contain ints or Fractions.
+    A is the adjugate of M, from one fraction-free Gauss-Jordan elimination
+    of [M | I] (Bareiss 1968): after step k every entry is a (k+1)-minor of
+    the input, so each division is exact and no fraction is ever formed.
     """
     if not M.is_square:
-        raise ShapeError("solve requires a square matrix")
+        raise ShapeError("inverse requires a square matrix")
     n = M.nrows
-    if len(b) != n:
-        raise ShapeError("right-hand side length does not match")
-    a = [[Fraction(x) for x in r] + [Fraction(b[i])] for i, r in enumerate(M.rows)]
+    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M.rows)]
+    sign = 1
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                for j in range(k, n + 1):
-                    a[i][j] -= f * a[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / a[k][k]
-    return tuple(x)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k]
+        akk = pk[k]
+        for i in range(n):
+            if i != k:
+                aik = a[i][k]
+                a[i] = [(akk * x - aik * y) // prev for x, y in zip(a[i], pk)]
+        prev = akk
+    # [M | I] became [d I | d M^-1], with d = sign * det(M) after the row swaps
+    s = sign * prev
+    A = IntMatrix([[sign * x for x in r[n:]] for r in a])
+    if M @ A != IntMatrix([[s if i == j else 0 for j in range(n)] for i in range(n)]):
+        raise InternalInconsistencyError("adjugate check M @ A == det(M) * I failed")
+    return A, s
 
 
-def inverse_scaled(M: IntMatrix):
-    """Return (A, s) with integer A and M @ A == s * I, s = det(M)."""
-    if not M.is_square:
-        raise ShapeError("inverse requires a square matrix")
-    s = determinant(M)
-    if s == 0:
-        raise SingularMatrixError("matrix is singular")
-    n = M.nrows
-    cols = []
+def _xgcd(a, b):
+    """(g, x, y) with a * x + b * y == g == gcd(a, b), for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return a, x0, y0
+
+
+def hermite_basis_mod(M: IntMatrix, q: int):
+    """Echelon basis of the lattice spanned by the rows of M and qZ^n.
+
+    Returns n rows b_0..b_{n-1}: b_j is zero before column j, its pivot
+    b_j[j] = g_j divides q, and its later entries lie in [0, q).  Each
+    c_0 b_0 + ... + c_{n-1} b_{n-1} with 0 <= c_j < q / g_j is then a distinct
+    element of (rows(M) Z + qZ^n) / qZ^n, and these are all of them.  Built by
+    extended-gcd row operations with every entry kept modulo q, so no entry
+    exceeds q (Domich-Kannan-Trotter, "Hermite normal form computation using
+    modulo determinant arithmetic", 1987).
+    """
+    if q < 1:
+        raise DomainError("modulus must be positive")
+    n = M.ncols
+    rows = [[x % q for x in r] for r in M.rows]
+    basis = []
     for j in range(n):
-        e = [s if i == j else 0 for i in range(n)]
-        col = solve_exact(M, e)
-        assert all(x.denominator == 1 for x in col)
-        cols.append([int(x) for x in col])
-    return IntMatrix(zip(*cols)), s
+        piv = [0] * n
+        piv[j] = q  # q e_j: the lattice contains qZ^n
+        for r in rows:
+            a = r[j]
+            if a:
+                # [piv; r] <- [[u, v], [a/g, -p/g]] [piv; r], a unimodular step
+                p = piv[j]
+                g, u, v = _xgcd(p, a)
+                s, t = a // g, p // g
+                piv, r[:] = (
+                    [(u * x + v * y) % q for x, y in zip(piv, r)],
+                    [(s * x - t * y) % q for x, y in zip(piv, r)],
+                )
+        basis.append(tuple(piv))
+    return basis
+
 
 
 def is_unimodular(M: IntMatrix) -> bool:
@@ -204,104 +225,3 @@ def is_primitive(v) -> bool:
     for x in v:
         g = gcd(g, x)
     return g == 1
-
-
-def _snf_pivot(a, t, m, n):
-    best = None
-    for i in range(t, m):
-        for j in range(t, n):
-            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def smith_normal_form(M: IntMatrix) -> SnfResult:
-    """Smith normal form with smallest-pivot elimination.
-
-    Returns U, D, V with U @ M @ V = D, U and V unimodular, D diagonal
-    with nonnegative entries in a divisibility chain.
-    """
-    m, n = M.shape
-    a = [list(r) for r in M.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, k, f):  # row i -= f * row k
-        a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[k])]
-
-    def col_op(j, k, f):  # col j -= f * col k
-        for r in a:
-            r[j] -= f * r[k]
-        for r in v:
-            r[j] -= f * r[k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        for r in v:
-            r[j], r[k] = r[k], r[j]
-
-    t = 0
-    while t < min(m, n):
-        piv = _snf_pivot(a, t, m, n)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:  # remainder smaller than pivot: swap up and redo
-                        swap_rows(t, i)
-                    done = False
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        swap_cols(t, j)
-                    done = False
-            if done:
-                break
-        # enforce that the pivot divides every remaining entry
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # fold the offending row in and re-reduce
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-
-    U, D, V = IntMatrix(u), IntMatrix(a), IntMatrix(v)
-    assert U @ M @ V == D
-    return SnfResult(U, D, V)
-
-
-def determinant_by_cofactors(M: IntMatrix) -> int:
-    """Laplace expansion along the first row; independent test oracle."""
-    if not M.is_square:
-        raise ShapeError("determinant requires a square matrix")
-    n = M.nrows
-    if n == 1:
-        return M.rows[0][0]
-    total = 0
-    for j in range(n):
-        if M.rows[0][j]:
-            total += (-1) ** j * M.rows[0][j] * determinant_by_cofactors(
-                M.submatrix([0], [j])
-            )
-    return total

@@ -3,16 +3,21 @@
 The simplex is represented by its n x (n-1) vertex matrix: the Laplacian
 expressed in the standard basis of the hyperplane orthogonal to the all-ones
 vector, obtained as L times the upper triangular 0/1 change-of-basis matrix.
+
+Volume, the barycentric coordinates of the origin and every facet come from
+one integer adjugate of the lifted matrix [L_B | 1], computed once per
+simplex; only the cofactor reflexivity test works from its own minors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
-from math import gcd, lcm
+from functools import cached_property
+from math import gcd
+from operator import mul
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
 from . import linalg
 from .linalg import IntMatrix
 from .graph import Graph, laplacian, spanning_tree_count
@@ -57,11 +62,17 @@ class LaplacianSimplex:
     @cached_property
     def lifted(self) -> IntMatrix:
         """The square matrix with rows (v_i, 1)."""
-        return self.vertex_matrix.augment_column([1] * self.n)
+        return _lift(self.vertex_matrix)
 
     @cached_property
     def lifted_inverse_scaled(self):
+        """(A, s) with lifted @ A == s * I: the adjugate and s = det(lifted)."""
         return linalg.inverse_scaled(self.lifted)
+
+    @cached_property
+    def facet_list(self):
+        """The n facets, computed once by ``facets`` and shared by its users."""
+        return tuple(facets(self))
 
     @cached_property
     def volume(self) -> int:
@@ -77,56 +88,73 @@ def build(G: Graph) -> LaplacianSimplex:
         raise DomainError("Laplacian simplex needs n >= 2")
     L = laplacian(G)
     LB = L @ basis_change_matrix(G.n)
-    assert all(sum(LB.col(j)) == 0 for j in range(LB.ncols))
+    if any(sum(LB.col(j)) for j in range(LB.ncols)):
+        raise InternalInconsistencyError("a column of L_B does not sum to zero")
     return LaplacianSimplex(G, LB, spanning_tree_count(G))
 
 
 def normalized_volume(S: LaplacianSimplex) -> int:
     """|det [L_B | 1]|, which always equals n * kappa."""
-    vol = abs(linalg.determinant(S.lifted))
-    assert vol == S.n * S.kappa
+    vol = abs(S.lifted_inverse_scaled[1])
+    if vol != S.n * S.kappa:
+        raise InternalInconsistencyError(
+            f"|det [L_B | 1]| is {vol}, n * kappa is {S.n * S.kappa}"
+        )
     return vol
+
+
+def _lift(vertex_matrix: IntMatrix) -> IntMatrix:
+    return vertex_matrix.augment_column([1] * vertex_matrix.nrows)
+
+
+def _origin_interior(A: IntMatrix, s: int) -> bool:
+    # the origin's barycentric coordinates are the last row of A over s
+    return all(x * s > 0 for x in A.rows[-1])
 
 
 def barycentric_of_origin(vertex_matrix: IntMatrix):
     """Coefficients lam with lam . [M | 1] = (0,...,0,1); sums to 1."""
-    n = vertex_matrix.nrows
-    lifted = vertex_matrix.augment_column([1] * n)
-    rhs = [0] * (n - 1) + [1]
-    return linalg.solve_exact(lifted.transpose(), rhs)
+    A, s = linalg.inverse_scaled(_lift(vertex_matrix))
+    return tuple(Fraction(x, s) for x in A.rows[-1])
 
 
 def origin_in_interior(vertex_matrix: IntMatrix) -> bool:
     """True iff the origin is a strictly positive convex combination."""
     try:
-        lam = barycentric_of_origin(vertex_matrix)
-    except linalg.SingularMatrixError:
+        return _origin_interior(*linalg.inverse_scaled(_lift(vertex_matrix)))
+    except SingularMatrixError:
         return False
-    return all(x > 0 for x in lam)
 
 
 def contains_origin_interior(S: LaplacianSimplex) -> bool:
-    return origin_in_interior(S.vertex_matrix)
+    return _origin_interior(*S.lifted_inverse_scaled)
 
 
 def facets(S: LaplacianSimplex):
-    """All n facets with exact dual vertices and primitive normals."""
+    """All n facets with exact dual vertices and primitive normals.
+
+    Column i of the adjugate A (lifted @ A == s * I) is (w, t) with
+    v_j . w = -t for every vertex j != i, so the facet opposite vertex i is
+    normal . x = |t| / g with g = gcd(w) and normal = -sign(t) * w / g.
+    """
+    A, _ = S.lifted_inverse_scaled
+    rows = S.vertex_matrix.rows
     out = []
-    ones = [1] * (S.n - 1)
-    for i in range(S.n):
-        sub = S.vertex_matrix.submatrix([i])
-        dual = linalg.solve_exact(sub, ones)
-        denom = lcm(*(c.denominator for c in dual))
-        scaled = [int(c * denom) for c in dual]
-        g = reduce(gcd, scaled, 0)
-        normal = tuple(x // g for x in scaled)
-        local_index = denom // g
-        assert g * local_index == denom
-        # sanity: the facet supports every vertex row except row i
-        for j in range(S.n):
-            val = sum(a * x for a, x in zip(normal, S.vertex_matrix.row(j)))
-            assert val == local_index if j != i else val < local_index
-        out.append(FacetData(i, tuple(dual), normal, local_index))
+    for i, (*w, t) in enumerate(zip(*A.rows)):
+        if t == 0:
+            raise SingularMatrixError(f"the facet opposite vertex {i} contains the origin")
+        g = gcd(*w)
+        normal = tuple((x if t < 0 else -x) // g for x in w)
+        local_index = abs(t) // g
+        # the facet supports every vertex row except row i
+        for j, row in enumerate(rows):
+            val = sum(map(mul, normal, row))
+            if not (val < local_index if j == i else val == local_index):
+                raise InternalInconsistencyError(
+                    f"facet opposite vertex {i} does not support vertex {j}"
+                )
+        dual = tuple(Fraction(x, local_index) for x in normal)
+        out.append(FacetData(i, dual, normal, local_index))
     return out
 
 
@@ -134,7 +162,7 @@ def is_reflexive(S: LaplacianSimplex) -> bool:
     """True iff the origin is interior and every dual vertex is integral."""
     if not contains_origin_interior(S):
         return False
-    return all(f.is_lattice_vertex for f in facets(S))
+    return all(f.is_lattice_vertex for f in S.facet_list)
 
 
 def ell_reflexive_index(S: LaplacianSimplex):
@@ -147,7 +175,7 @@ def ell_reflexive_index(S: LaplacianSimplex):
         return None
     if not all(linalg.is_primitive(r) for r in S.vertex_matrix.rows):
         return None
-    indices = {f.local_index for f in facets(S)}
+    indices = {f.local_index for f in S.facet_list}
     if len(indices) != 1:
         return None
     return indices.pop()
@@ -156,8 +184,8 @@ def ell_reflexive_index(S: LaplacianSimplex):
 def cofactor_reflexivity_test(S: LaplacianSimplex) -> bool:
     """Reflexivity via divisibility of cofactor column sums.
 
-    Independent of the dual-vertex solve: works purely with signed minors
-    of each first minor of the vertex matrix.
+    Independent of the adjugate behind the facets: works purely with signed
+    minors of each first minor of the vertex matrix.
     """
     kappa = S.kappa
     for i in range(S.n):

@@ -153,6 +153,22 @@ def test_bad_values_exit_2():
     assert run(["--family", "cycle", "--n", "3", "--bridge-with", "a:b:c:d", "report"])[0] == 2
 
 
+def test_non_integer_bridge_spec_exit_2(capsys):
+    code, _ = run(["--family", "cycle", "--n", "3", "--bridge-with", "cycle:x", "report"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_ascii_edge_list_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes("3 2\n1 2\n2 3 \u00e9\n".encode("utf-8"))
+    code, _ = run(["--edge-list", str(path), "report"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cap_flag_softens_to_null_fields():
     code, text = run(["--family", "cycle", "--n", "6", "--fpp-cap", "1", "report"])
     assert code == 0

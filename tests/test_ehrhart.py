@@ -2,19 +2,18 @@
 
 import itertools
 import random
-from fractions import Fraction
-from math import comb
 
 import pytest
 
-from lapsim import ehrhart, graph as g, linalg, simplex as splx
+from lapsim import ehrhart, graph as g, simplex as splx
 from lapsim.errors import DomainError, FeasibilityError
+from oracles import solve_exact
 
 
 def brute_fpp_heights(S):
     """Height histogram of the half-open parallelepiped by box scan.
 
-    Independent of the SNF path: checks every integer point of a bounding
+    Independent of the group walk: checks every integer point of a bounding
     box for coefficients in [0, 1) with an exact rational solve.
     """
     M = S.lifted
@@ -24,7 +23,7 @@ def brute_fpp_heights(S):
     his = [sum(max(r[j], 0) for r in M.rows) for j in range(n)]
     counts = [0] * n
     for point in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        lam = linalg.solve_exact(M.transpose(), point)
+        lam = solve_exact(M.transpose(), point)
         if all(0 <= c < 1 for c in lam):
             counts[point[-1]] += 1
     return counts
@@ -65,10 +64,9 @@ def test_fpp_points_c3():
     for p in pts:
         assert p.point[-1] == p.height
         assert 0 <= p.height < 3
-        assert all(0 <= c < 1 for c in p.coeffs)
-        # coefficients reproduce the point exactly
-        rebuilt = S.lifted.mul_row_vector(p.coeffs)
-        assert tuple(rebuilt) == tuple(Fraction(x) for x in p.point)
+        assert p.q == 9 and all(0 <= x < p.q for x in p.r)
+        # the scaled coefficients r / q reproduce the point exactly
+        assert S.lifted.mul_row_vector(p.r) == tuple(p.q * x for x in p.point)
 
 
 def test_fpp_heights_match_brute_force():
@@ -83,6 +81,43 @@ def test_fpp_heights_match_brute_force():
         for p in ehrhart.fpp_points(S):
             got[p.height] += 1
         assert got == brute_fpp_heights(S)
+
+
+# 20 vertices, one 7-cycle, volume 140: a Smith normal form of its lifted
+# matrix grew entries past 600 bits and ran for minutes.
+SNF_HANG = g.Graph(
+    20,
+    [
+        tuple(int(x) for x in e.split("-"))
+        for e in (
+            "1-10 2-9 2-13 3-5 3-14 4-12 4-19 5-10 5-13 6-14 7-18 8-16 9-19 "
+            "11-18 11-19 13-17 13-20 15-17 16-19 17-18"
+        ).split()
+    ],
+)
+
+
+def test_walk_on_former_snf_hang_graph():
+    S = splx.build(SNF_HANG)
+    h = ehrhart.hstar(S, strategy="generic_snf")
+    assert S.volume == h.total == 140
+    assert (h.entries == h.entries[::-1]) == splx.is_reflexive(S)
+
+
+def test_walk_matches_odd_cycle_closed_form():
+    for n in range(5, 16, 2):
+        walked = ehrhart.hstar(splx.build(g.family("cycle", n)), strategy="generic_snf")
+        assert walked.entries == ehrhart.hstar_cycle_closed_form(n).entries
+        if n in (7, 11, 13):  # prime n: (1, ..., 1, n^2 - n + 1, 1, ..., 1)
+            expected = [1] * n
+            expected[(n - 1) // 2] = n * n - n + 1
+            assert list(walked) == expected
+
+
+def test_walk_matches_complete_closed_form():
+    for n in (5, 6):
+        walked = ehrhart.hstar(splx.build(g.family("complete", n)), strategy="generic_snf")
+        assert walked.entries == ehrhart.hstar_complete(n).entries
 
 
 def test_fpp_cap():

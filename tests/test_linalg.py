@@ -1,4 +1,4 @@
-"""Exact linear algebra: determinants, solves, SNF, unimodularity."""
+"""Exact linear algebra: determinants, adjugates, modular echelon bases."""
 
 import random
 from fractions import Fraction
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lapsim import linalg
 from lapsim.errors import DomainError, ShapeError, SingularMatrixError
 from lapsim.linalg import IntMatrix
+from oracles import determinant_by_cofactors, solve_exact
 
 
 def random_matrix(rng, n, m=None, lo=-5, hi=5):
@@ -88,7 +89,7 @@ def test_determinant_matches_cofactor_expansion():
     rng = random.Random(7)
     for _ in range(40):
         M = random_matrix(rng, rng.randint(1, 5))
-        assert linalg.determinant(M) == linalg.determinant_by_cofactors(M)
+        assert linalg.determinant(M) == determinant_by_cofactors(M)
 
 
 def test_determinant_transpose_invariant():
@@ -123,7 +124,7 @@ def test_minor():
 
 def test_solve_exact_small():
     M = IntMatrix([[2, 1], [1, 3]])
-    x = linalg.solve_exact(M, [5, 10])
+    x = solve_exact(M, [5, 10])
     assert x == (Fraction(1), Fraction(3))
     # verify by substitution
     assert tuple(sum(r[j] * x[j] for j in range(2)) for r in M.rows) == (5, 10)
@@ -131,12 +132,12 @@ def test_solve_exact_small():
 
 def test_solve_exact_fractional_result():
     M = IntMatrix([[2, 0], [0, 4]])
-    assert linalg.solve_exact(M, [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
+    assert solve_exact(M, [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
 
 
 def test_solve_exact_singular_raises():
     with pytest.raises(SingularMatrixError):
-        linalg.solve_exact(IntMatrix([[1, 1], [1, 1]]), [1, 2])
+        solve_exact(IntMatrix([[1, 1], [1, 1]]), [1, 2])
 
 
 def test_solve_exact_random_roundtrip():
@@ -147,7 +148,7 @@ def test_solve_exact_random_roundtrip():
         if linalg.determinant(M) == 0:
             continue
         b = [rng.randint(-9, 9) for _ in range(4)]
-        x = linalg.solve_exact(M, b)
+        x = solve_exact(M, b)
         assert [sum(r[j] * x[j] for j in range(4)) for r in M.rows] == b
         done += 1
 
@@ -174,6 +175,27 @@ def test_inverse_scaled_singular_raises():
         linalg.inverse_scaled(IntMatrix([[1, 2], [2, 4]]))
 
 
+def test_inverse_scaled_matches_solve_oracle():
+    rng = random.Random(19)
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        M = random_matrix(rng, n, lo=-2, hi=2)
+        if linalg.determinant(M) == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                linalg.inverse_scaled(M)
+            with pytest.raises(SingularMatrixError):
+                solve_exact(M, [1] * n)
+            continue
+        A, s = linalg.inverse_scaled(M)
+        assert s == linalg.determinant(M)
+        for j in range(n):
+            e = [s if i == j else 0 for i in range(n)]
+            assert A.col(j) == solve_exact(M, e)
+    assert singular >= 5
+
+
 # -- unimodularity and primitivity -------------------------------------------
 
 
@@ -195,57 +217,47 @@ def test_is_primitive():
         linalg.is_primitive((0, 0))
 
 
-# -- Smith normal form -------------------------------------------------------
+# -- modular echelon basis ----------------------------------------------------
 
 
-def snf_invariants_ok(M):
-    res = linalg.smith_normal_form(M)
-    assert res.U @ M @ res.V == res.D
-    assert abs(linalg.determinant(res.U)) == 1
-    assert abs(linalg.determinant(res.V)) == 1
-    d = res.diagonal
-    assert all(x >= 0 for x in d)
-    # divisibility chain among nonzero entries, zeros trail
-    nz = [x for x in d if x]
-    assert list(d[: len(nz)]) == nz
-    for a, b in zip(nz, nz[1:]):
-        assert b % a == 0
-    # off-diagonal zero
-    for i in range(res.D.nrows):
-        for j in range(res.D.ncols):
-            if i != j:
-                assert res.D.rows[i][j] == 0
-    return res
+def group_closure(M, q):
+    """The subgroup of (Z/q)^n generated by the rows of M, by breadth-first search."""
+    gens = [tuple(x % q for x in r) for r in M.rows]
+    seen = {(0,) * M.ncols}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for gen in gens:
+                w = tuple((x + y) % q for x, y in zip(v, gen))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
 
 
-def test_snf_coprime_diagonal():
-    res = snf_invariants_ok(IntMatrix([[2, 0], [0, 3]]))
-    assert res.diagonal == (1, 6)
-
-
-def test_snf_examples():
-    res = snf_invariants_ok(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-    # product of diagonal entries is |det|
-    det = linalg.determinant(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-    prod = 1
-    for x in res.diagonal:
-        prod *= x
-    assert prod == abs(det)
-
-
-def test_snf_rectangular_and_singular():
-    snf_invariants_ok(IntMatrix([[1, 2, 3], [4, 5, 6]]))
-    snf_invariants_ok(IntMatrix([[1, 2], [2, 4]]))
-    snf_invariants_ok(IntMatrix([[0, 0], [0, 0]]))
-
-
-def test_snf_random_matrices():
-    rng = random.Random(13)
+def test_hermite_basis_mod_spans_the_group():
+    rng = random.Random(17)
     for _ in range(30):
-        M = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        res = snf_invariants_ok(M)
-        if M.is_square:
-            prod = 1
-            for x in res.diagonal:
-                prod *= x
-            assert prod == abs(linalg.determinant(M))
+        n = rng.randint(1, 4)
+        M = random_matrix(rng, rng.randint(1, 4), n)
+        q = rng.randint(1, 12)
+        basis = linalg.hermite_basis_mod(M, q)
+        assert len(basis) == n
+        order = 1
+        for j, b in enumerate(basis):
+            assert all(x == 0 for x in b[:j])
+            assert q % b[j] == 0 and all(0 <= x < q for x in b[j + 1 :])
+            order *= q // b[j]
+        elements = {(0,) * n}
+        for j, b in enumerate(basis):
+            elements = {
+                tuple((x + c * y) % q for x, y in zip(e, b))
+                for e in elements
+                for c in range(q // b[j])
+            }
+        assert len(elements) == order
+        assert elements == group_closure(M, q)
+    with pytest.raises(DomainError):
+        linalg.hermite_basis_mod(IntMatrix([[1]]), 0)

@@ -1,13 +1,18 @@
 """Simplex construction, volume, facet data, reflexivity, equivalence."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import lapsim
 from lapsim import graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, ShapeError
 from lapsim.linalg import IntMatrix
+from oracles import facets_by_solves, solve_exact
 
 
 def test_basis_change_matrix():
@@ -52,6 +57,27 @@ def test_volume_is_n_times_kappa():
         assert abs(linalg.determinant(S.lifted)) == expected
 
 
+def test_volume_check_runs_under_optimize():
+    # a corrupted kappa must raise even where asserts are compiled away
+    code = (
+        "from lapsim import family, simplex as splx\n"
+        "from lapsim.errors import InternalInconsistencyError\n"
+        "S = splx.build(family('cycle', 5))\n"
+        "bad = splx.LaplacianSimplex(S.graph, S.vertex_matrix, S.kappa + 1)\n"
+        "try:\n"
+        "    splx.normalized_volume(bad)\n"
+        "except InternalInconsistencyError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lapsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: |det [L_B | 1]| is 25, n * kappa is 30")
+
+
 def test_origin_always_interior():
     # row sums of the vertex matrix vanish, so (1/n,...,1/n) works
     for G in (g.family("path", 2), g.family("cycle", 6), g.family("complete", 5)):
@@ -65,6 +91,8 @@ def test_origin_not_interior_after_shift():
     M = splx.canonical_tree_simplex(2)
     shifted = IntMatrix([[x + 5 * (j == 0) for j, x in enumerate(r)] for r in M.rows])
     assert not splx.origin_in_interior(shifted)
+    # origin on an edge: barycentric coordinates (1/2, 1/2, 0), not interior
+    assert not splx.origin_in_interior(IntMatrix([[-1, 0], [1, 0], [0, 1]]))
 
 
 def test_origin_in_interior_singular_matrix():
@@ -102,6 +130,26 @@ def test_facets_small_graphs():
         g.random_connected_graph(5, seed=8),
     ):
         facet_invariants(splx.build(G))
+
+
+def test_facets_match_per_facet_solves():
+    rng = random.Random(41)
+    for k in range(25):
+        n = rng.randint(2, 8)
+        G = g.random_connected_graph(n, seed=500 + k)
+        S = splx.build(G)
+        got = [(f.opposite, f.dual_vertex, f.normal, f.local_index) for f in splx.facets(S)]
+        assert got == facets_by_solves(S.vertex_matrix)
+
+
+def test_facets_computed_once_per_simplex(monkeypatch):
+    S = splx.build(g.family("cycle", 6))
+    calls = []
+    original = splx.facets
+    monkeypatch.setattr(splx, "facets", lambda T: calls.append(T) or original(T))
+    assert not splx.is_reflexive(S)
+    assert splx.ell_reflexive_index(S) == 2
+    assert len(calls) == 1
 
 
 def test_facets_n2():
@@ -153,7 +201,7 @@ def rotation_certificate(S, perm):
     A = IntMatrix(M.rows[:d])
     cols = []
     for j in range(d):
-        col = linalg.solve_exact(A, [M.rows[perm[i]][j] for i in range(d)])
+        col = solve_exact(A, [M.rows[perm[i]][j] for i in range(d)])
         assert all(x.denominator == 1 for x in col)
         cols.append([int(x) for x in col])
     return IntMatrix(zip(*cols))
