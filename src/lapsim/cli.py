@@ -7,7 +7,7 @@ Usage sketch::
     lapsim verify-paper [--only cycles]
 
 Exit codes: 0 success, 1 regression failure, 2 input error, 3 internal
-inconsistency.
+inconsistency or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import analysis, ehrhart, graph as graphs
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError, LapsimError
@@ -63,7 +62,6 @@ def build_parser():
     p.add_argument("--strategy", choices=ehrhart.STRATEGIES, help="h* strategy override")
     p.add_argument("--fpp-cap", type=int, default=None, help="parallelepiped size cap")
     p.add_argument("--idp-cap", type=int, default=None, help="IDP check size cap")
-    p.add_argument("--jobs", type=int, default=None, help="parallel rows for batch")
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default=None, help="output format"
     )
@@ -188,22 +186,12 @@ def _batch_targets(args):
 
 def cmd_batch(args, out):
     targets = _batch_targets(args)
-    jobs = args.jobs if args.jobs is not None else _env_int("LAPSIM_JOBS", 1)
-
-    def run_row(target):
-        n, seed = target
-        try:
-            return _csv_row(_analyze(args, _resolve_graph(args, n=n, seed=seed)))
-        except LapsimError as exc:
-            return f"{n if n is not None else ''},,,,,,,,,error: {exc}"
-
     out.write(CSV_HEADER + "\n")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_row, targets))
-    else:
-        rows = [run_row(t) for t in targets]
-    for row in rows:
+    for n, seed in targets:
+        try:
+            row = _csv_row(_analyze(args, _resolve_graph(args, n=n, seed=seed)))
+        except LapsimError as exc:
+            row = f"{n if n is not None else ''},,,,,,,,,error: {exc}"
         out.write(row + "\n")
     return EXIT_OK
 
@@ -236,6 +224,9 @@ def main(argv=None, out=None):
     except (DomainError, FeasibilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug, not a regression: never exit 1
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """h*-vectors, fundamental parallelepiped enumeration, and point counting.
 
 The generic path (strategy name ``generic_snf``, kept for compatibility)
-walks the lattice points of the half-open parallelepiped spanned by the
-lifted vertex rows M = [L_B | 1] as a finite group.  With A = adj(M) and
-q = |det M|, a point r M / q with 0 <= r < q corresponds to r in
-Lambda = (Z^n A + qZ^n) / qZ^n, and its height is sum(r) / q.  An odometer
-over a modular echelon basis of Lambda visits each of the q points once,
-with every entry kept below q.  Closed forms cover trees, odd cycles, and
+counts the lattice points of the half-open parallelepiped spanned by the
+lifted vertex rows M = [L_B | 1] by height.  The simplex walks them once, as
+the finite group Lambda = (Z^n adj(M) + qZ^n) / qZ^n with q = |det M|, and
+caches the walk (``LaplacianSimplex.fpp_list``); ``fpp_points`` checks the
+size cap and then yields from that cache, so the h* histogram and the IDP
+decision share one walk.  Closed forms cover trees, odd cycles, and
 complete graphs, and a dilate-counting scan over the facet description
 provides an independent oracle.
 """
@@ -16,12 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, gcd
-from operator import mul
-from typing import NamedTuple
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
-from . import linalg
-from .simplex import LaplacianSimplex
+from .simplex import FppPoint, LaplacianSimplex
 
 DEFAULT_FPP_CAP = 10**7
 DEFAULT_SCAN_CAP = 10**8
@@ -66,69 +63,19 @@ class HStarVector:
         return self.entries[i]
 
 
-class FppPoint(NamedTuple):
-    """A lattice point of the fundamental parallelepiped.
-
-    ``point`` includes the height as its last coordinate.  Its barycentric
-    coefficients in [0, 1) are ``r[i] / q``: ``r`` is an integer vector with
-    0 <= r[i] < q and r . M == q * point for the lifted matrix M.
-    """
-
-    point: tuple
-    height: int
-    r: tuple
-    q: int
-
-
-def _group_walk(basis, q, n):
-    """Yield c_0 b_0 + ... + c_k b_k mod q for every digit vector 0 <= c_j < m_j.
-
-    ``basis`` holds pairs (b_j, m_j); an odometer turns the last digit
-    fastest, so each step adds one b_j and undoes the digits that wrapped.
-    """
-    undo = [tuple((1 - m) * x % q for x in b) for b, m in basis]
-    digits = [0] * len(basis)
-    cur = (0,) * n
-    while True:
-        yield cur
-        j = len(basis) - 1
-        while j >= 0 and digits[j] == basis[j][1] - 1:
-            digits[j] = 0
-            cur = tuple([(x + y) % q for x, y in zip(cur, undo[j])])
-            j -= 1
-        if j < 0:
-            return
-        digits[j] += 1
-        cur = tuple([(x + y) % q for x, y in zip(cur, basis[j][0])])
-
-
 def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
-    """Yield the n*kappa lattice points of the fundamental parallelepiped."""
+    """Yield the n*kappa fundamental parallelepiped points as ``FppPoint``s.
+
+    The cap is checked before anything is walked; the walk itself runs once
+    per simplex and is cached as ``S.fpp_list``.
+    """
     vol = S.n * S.kappa
     if vol > cap:
         raise FeasibilityError(
             f"fundamental parallelepiped has {vol} points, cap is {cap}",
             required=vol,
         )
-    adj, s = S.lifted_inverse_scaled  # lifted @ adj == s * I
-    q = abs(s)
-    basis = [
-        (b, q // b[j])
-        for j, b in enumerate(linalg.hermite_basis_mod(adj, q))
-        if b[j] != q
-    ]
-    cols = list(zip(*S.lifted.rows))
-    for r in _group_walk(basis, q, S.n):
-        point = []
-        for c in cols:
-            x, rem = divmod(sum(map(mul, r, c)), q)
-            if rem:
-                raise InternalInconsistencyError("parallelepiped point is not integral")
-            point.append(x)
-        height = point[-1]
-        if not 0 <= height < S.n:
-            raise InternalInconsistencyError(f"parallelepiped point at height {height}")
-        yield FppPoint(tuple(point), height, r, q)
+    yield from S.fpp_list
 
 
 def _fpp_height_histogram(S, cap):

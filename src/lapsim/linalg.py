@@ -208,6 +208,27 @@ def hermite_basis_mod(M: IntMatrix, q: int):
     return basis
 
 
+def group_walk(basis, q, n):
+    """Yield c_0 b_0 + ... + c_k b_k mod q for every digit vector 0 <= c_j < m_j.
+
+    ``basis`` holds pairs (b_j, m_j); an odometer turns the last digit
+    fastest, so each step adds one b_j and undoes the digits that wrapped.
+    """
+    undo = [tuple((1 - m) * x % q for x in b) for b, m in basis]
+    digits = [0] * len(basis)
+    cur = (0,) * n
+    while True:
+        yield cur
+        j = len(basis) - 1
+        while j >= 0 and digits[j] == basis[j][1] - 1:
+            digits[j] = 0
+            cur = tuple([(x + y) % q for x, y in zip(cur, undo[j])])
+            j -= 1
+        if j < 0:
+            return
+        digits[j] += 1
+        cur = tuple([(x + y) % q for x, y in zip(cur, basis[j][0])])
+
 
 def is_unimodular(M: IntMatrix) -> bool:
     """True iff M is square with |det M| = 1."""

@@ -4,9 +4,13 @@ The simplex is represented by its n x (n-1) vertex matrix: the Laplacian
 expressed in the standard basis of the hyperplane orthogonal to the all-ones
 vector, obtained as L times the upper triangular 0/1 change-of-basis matrix.
 
-Volume, the barycentric coordinates of the origin and every facet come from
-one integer adjugate of the lifted matrix [L_B | 1], computed once per
-simplex; only the cofactor reflexivity test works from its own minors.
+Volume, the barycentric coordinates of the origin, every facet and the
+lattice points of the fundamental parallelepiped come from one integer
+adjugate of the lifted matrix [L_B | 1], computed once per simplex; only the
+cofactor reflexivity test works from its own minors.  The facets and the
+parallelepiped points are each computed once and cached on the simplex, so
+reflexivity and ``ell`` share one facet list, and the h* walk and the IDP
+decision share one walk.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
 from . import linalg
@@ -47,6 +52,20 @@ class FacetData:
         return all(c.denominator == 1 for c in self.dual_vertex)
 
 
+class FppPoint(NamedTuple):
+    """A lattice point of the fundamental parallelepiped.
+
+    ``point`` includes the height as its last coordinate.  Its barycentric
+    coefficients in [0, 1) are ``r[i] / q``: ``r`` is an integer vector with
+    0 <= r[i] < q and r . M == q * point for the lifted matrix M.
+    """
+
+    point: tuple
+    height: int
+    r: tuple
+    q: int
+
+
 class LaplacianSimplex:
     """Convex hull of the rows of the reduced Laplacian of a graph."""
 
@@ -73,6 +92,39 @@ class LaplacianSimplex:
     def facet_list(self):
         """The n facets, computed once by ``facets`` and shared by its users."""
         return tuple(facets(self))
+
+    @cached_property
+    def fpp_list(self):
+        """The n*kappa parallelepiped points, walked once and shared by its users.
+
+        With A = adj(M) and q = |det M|, a point r M / q with 0 <= r < q
+        corresponds to r in the group Lambda = (Z^n A + qZ^n) / qZ^n, and its
+        height is sum(r) / q.  An odometer over a modular echelon basis of
+        Lambda visits each of the q points once, with every entry below q.
+        Callers go through ``ehrhart.fpp_points``, which checks the size cap
+        before anything is walked.
+        """
+        adj, s = self.lifted_inverse_scaled  # lifted @ adj == s * I
+        q = abs(s)
+        basis = [
+            (b, q // b[j])
+            for j, b in enumerate(linalg.hermite_basis_mod(adj, q))
+            if b[j] != q
+        ]
+        cols = list(zip(*self.lifted.rows))
+        out = []
+        for r in linalg.group_walk(basis, q, self.n):
+            point = []
+            for c in cols:
+                x, rem = divmod(sum(map(mul, r, c)), q)
+                if rem:
+                    raise InternalInconsistencyError("parallelepiped point is not integral")
+                point.append(x)
+            height = point[-1]
+            if not 0 <= height < self.n:
+                raise InternalInconsistencyError(f"parallelepiped point at height {height}")
+            out.append(FppPoint(tuple(point), height, r, q))
+        return tuple(out)
 
     @cached_property
     def volume(self) -> int:

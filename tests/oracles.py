@@ -1,14 +1,16 @@
 """Slow, independent reference computations that the tests compare against.
 
-These use rational Gauss elimination and Laplace expansion, methods the
-library itself no longer runs, so agreement is a real cross-check.
+These use rational Gauss elimination, Laplace expansion and a memoised cone
+search, methods the library itself no longer runs, so agreement is a real
+cross-check.
 """
 
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from lapsim.errors import ShapeError, SingularMatrixError
+from lapsim import ehrhart
+from lapsim.errors import DomainError, ShapeError, SingularMatrixError
 from lapsim.linalg import IntMatrix
 
 
@@ -71,3 +73,42 @@ def facets_by_solves(vertex_matrix: IntMatrix):
         g = reduce(gcd, scaled, 0)
         out.append((i, dual, tuple(x // g for x in scaled), denom // g))
     return out
+
+
+def idp_by_cone_search(S):
+    """IDP by a memoised search over the cone; meant for n <= 6.
+
+    Each parallelepiped point x at height h >= 2 must split as g + y with g a
+    lattice point of S (vertices included) and y a cone point at height
+    h - 1 that splits in turn; cone membership is tested through the
+    barycentric coordinates adj(M) gives.
+    """
+    if S.n > 6:
+        raise DomainError("the cone-search oracle is meant for n <= 6")
+    pts = list(ehrhart.fpp_points(S))
+    gens = {p.point[:-1] for p in pts if p.height == 1}
+    gens.update(tuple(r) for r in S.vertex_matrix.rows)
+    adj, s = S.lifted_inverse_scaled
+    sign = 1 if s > 0 else -1
+
+    def in_cone(x, h):
+        return all(sign * v >= 0 for v in adj.mul_row_vector(x + (h,)))
+
+    memo = {}
+
+    def decomposes(x, h):
+        if h == 0:
+            return all(v == 0 for v in x)
+        if h == 1:
+            return x in gens
+        key = (x, h)
+        if key not in memo:
+            memo[key] = False  # guards against re-entry; overwritten below
+            memo[key] = any(
+                in_cone(y, h - 1) and decomposes(y, h - 1)
+                for g in gens
+                for y in (tuple(a - b for a, b in zip(x, g)),)
+            )
+        return memo[key]
+
+    return all(decomposes(p.point[:-1], p.height) for p in pts if p.height >= 2)

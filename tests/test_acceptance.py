@@ -91,11 +91,11 @@ def test_criterion_07_dual_vertex_spot_checks():
 
 
 def test_criterion_08_idp():
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         assert analysis.is_idp(splx.build(g.family("complete", n)))
-    for n in (5, 7):
+    for n in range(5, 16, 2):
         assert not analysis.is_idp(splx.build(g.family("cycle", n)))
-    print("PASS criterion 8: IDP holds for K3-K5, fails for C5, C7")
+    print("PASS criterion 8: IDP holds for K3-K6, fails for odd C5-C15")
 
 
 def test_criterion_09_cross_method_consistency():

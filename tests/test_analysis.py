@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from lapsim import analysis, ehrhart, graph as g, simplex as splx
+from lapsim import analysis, ehrhart, graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError
+from oracles import idp_by_cone_search
 
 
 def brute_is_idp(S, t_max=None):
@@ -59,6 +60,41 @@ def test_idp_matches_brute_force():
     ):
         S = splx.build(G)
         assert analysis.is_idp(S) == brute_is_idp(S)
+
+
+def test_idp_matches_cone_search_oracle():
+    decided = []
+    for k in range(48):
+        n, extra = 4 + k % 3, 1 + (k // 3) % 6
+        S = splx.build(g.random_connected_graph(n, seed=4000 + k, extra_edges=extra))
+        decided.append(analysis.is_idp(S))
+        assert decided[-1] == idp_by_cone_search(S), (n, extra, k)
+    assert any(decided) and not all(decided)
+
+
+def test_guard_packing_subtraction():
+    q, n = 25, 3
+    pack, guard = analysis.guard_packing(q, n)
+    r = (7, q - 1, 3)
+    # equal component, top component r_i = q - 1, and a strictly smaller one
+    for g_vec in ((7, q - 1, 0), (7, 0, 3), (0, q - 2, 2), (7, q - 1, 3)):
+        d = (pack(r) | guard) - pack(g_vec)
+        assert d & guard == guard
+        assert d ^ guard == pack(tuple(a - b for a, b in zip(r, g_vec)))
+    # one component larger than r's: the borrow clears that field's guard bit
+    for g_vec in ((8, 0, 0), (0, 0, 4), (7, q - 1, 4)):
+        assert ((pack(r) | guard) - pack(g_vec)) & guard != guard
+
+
+def test_analyze_walks_the_group_once(monkeypatch):
+    calls = []
+    original = linalg.hermite_basis_mod
+    monkeypatch.setattr(
+        linalg, "hermite_basis_mod", lambda M, q: calls.append(q) or original(M, q)
+    )
+    r = analysis.analyze(g.family("cycle", 6))
+    assert r.hstar.strategy == "generic_snf" and r.idp is not None
+    assert calls == [36]
 
 
 def test_idp_cap():

@@ -95,13 +95,11 @@ def test_batch_range():
     assert [ln.split(",")[0] for ln in lines[1:]] == ["3", "4", "5", "6"]
 
 
-def test_batch_deterministic_and_parallel_order():
+def test_batch_deterministic():
     argv = ["--family", "random_tree", "--n", "6", "--count", "3", "--seed", "9", "batch"]
     _, a = run(argv)
     _, b = run(argv)
-    _, par = run(["--jobs", "2"] + argv)
     assert a == b
-    assert par == a  # parallel batch preserves row order
 
 
 def test_batch_needs_a_target():
@@ -192,8 +190,13 @@ def test_env_var_invalid(monkeypatch):
     assert code == 2
 
 
-def test_env_var_jobs(monkeypatch):
-    monkeypatch.setenv("LAPSIM_JOBS", "2")
-    code, text = run(["--family", "cycle", "--n-range", "3:5", "batch"])
-    assert code == 0
-    assert len(text.strip().splitlines()) == 4
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.analysis, "analyze", boom)
+    code, _ = run(["--family", "cycle", "--n", "5", "report"])
+    assert code == cli.EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "boom" in err
