@@ -60,8 +60,7 @@ def build_parser():
         "--attach-path", metavar="V:K", help="attach a path of K vertices at vertex V"
     )
     p.add_argument("--strategy", choices=ehrhart.STRATEGIES, help="h* strategy override")
-    p.add_argument("--fpp-cap", type=int, default=None, help="parallelepiped size cap")
-    p.add_argument("--idp-cap", type=int, default=None, help="IDP check size cap")
+    p.add_argument("--fpp-cap", type=int, default=None, help="walk size cap (h* and IDP)")
     p.add_argument(
         "--format", choices=("text", "json", "csv"), default=None, help="output format"
     )
@@ -116,10 +115,7 @@ def _analyze(args, G):
     fpp_cap = args.fpp_cap if args.fpp_cap is not None else _env_int(
         "LAPSIM_FPP_CAP", ehrhart.DEFAULT_FPP_CAP
     )
-    idp_cap = args.idp_cap if args.idp_cap is not None else _env_int(
-        "LAPSIM_IDP_CAP", analysis.DEFAULT_IDP_CAP
-    )
-    return analysis.analyze(G, strategy=args.strategy, fpp_cap=fpp_cap, idp_cap=idp_cap)
+    return analysis.analyze(G, strategy=args.strategy, fpp_cap=fpp_cap)
 
 
 def _render_text(report):

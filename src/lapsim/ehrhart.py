@@ -4,11 +4,11 @@ The generic path (strategy name ``generic_snf``, kept for compatibility)
 counts the lattice points of the half-open parallelepiped spanned by the
 lifted vertex rows M = [L_B | 1] by height.  The simplex walks them once, as
 the finite group Lambda = (Z^n adj(M) + qZ^n) / qZ^n with q = |det M|, and
-caches the walk (``LaplacianSimplex.fpp_list``); ``fpp_points`` checks the
-size cap and then yields from that cache, so the h* histogram and the IDP
-decision share one walk.  Closed forms cover trees, odd cycles, and
-complete graphs, and a dilate-counting scan over the facet description
-provides an independent oracle.
+caches and checks the walk (``LaplacianSimplex.fpp_list``); ``fpp_points``
+checks the one size cap on that walk and then yields from the cache, so the
+h* histogram and the IDP decision share one walk.  Closed forms cover trees,
+odd cycles, and complete graphs, and a dilate-counting scan over the facet
+description provides an independent oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import reduce
 from math import comb, gcd
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
-from .simplex import FppPoint, LaplacianSimplex
+from .simplex import LaplacianSimplex
 
 DEFAULT_FPP_CAP = 10**7
 DEFAULT_SCAN_CAP = 10**8
@@ -66,8 +66,9 @@ class HStarVector:
 def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
     """Yield the n*kappa fundamental parallelepiped points as ``FppPoint``s.
 
-    The cap is checked before anything is walked; the walk itself runs once
-    per simplex and is cached as ``S.fpp_list``.
+    This is the only size cap on the walk: it is checked before anything is
+    walked, for the h* histogram and the IDP decision alike.  The walk itself
+    runs once per simplex, is checked there and is cached as ``S.fpp_list``.
     """
     vol = S.n * S.kappa
     if vol > cap:
@@ -76,17 +77,6 @@ def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
             required=vol,
         )
     yield from S.fpp_list
-
-
-def _fpp_height_histogram(S, cap):
-    counts = [0] * S.n
-    seen = set()
-    for p in fpp_points(S, cap=cap):
-        counts[p.height] += 1
-        seen.add(p.point)
-    if len(seen) != S.n * S.kappa:
-        raise InternalInconsistencyError("parallelepiped enumeration lost points")
-    return counts
 
 
 def hstar_cycle_closed_form(n: int) -> HStarVector:
@@ -149,7 +139,10 @@ def hstar(S: LaplacianSimplex, strategy=None, cap: int = DEFAULT_FPP_CAP) -> HSt
             raise DomainError("composition counting requires a complete graph")
         h = hstar_complete(G.n)
     elif strategy == "generic_snf":
-        h = HStarVector(tuple(_fpp_height_histogram(S, cap)), "generic_snf")
+        counts = [0] * S.n
+        for p in fpp_points(S, cap=cap):
+            counts[p.height] += 1
+        h = HStarVector(tuple(counts), "generic_snf")
     elif strategy == "dilate_interpolation":
         counts = [count_dilate_points(S, t) for t in range(S.n)]
         h = hstar_from_counts(counts)

@@ -43,7 +43,9 @@ class Graph:
         for u, v in edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise DomainError(f"edge ({u},{v}) out of range for n={self.n}")
-        if not self._connected():
+        # fewer than n - 1 edges cannot connect n vertices; rejecting that
+        # first keeps a huge vertex count from allocating one set per vertex
+        if len(edges) < self.n - 1 or not self._connected():
             raise DomainError("graph must be connected")
 
     def _connected(self):
@@ -304,7 +306,11 @@ def format_edge_list(G: Graph) -> str:
 
 
 def read_edge_list(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
+    try:
+        fh = open(path, "r", encoding="ascii")
+    except ValueError as exc:  # e.g. a NUL byte in the path
+        raise DomainError(f"bad path {path!r}: {exc}") from exc
+    with fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

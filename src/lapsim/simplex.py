@@ -10,7 +10,7 @@ adjugate of the lifted matrix [L_B | 1], computed once per simplex; only the
 cofactor reflexivity test works from its own minors.  The facets and the
 parallelepiped points are each computed once and cached on the simplex, so
 reflexivity and ``ell`` share one facet list, and the h* walk and the IDP
-decision share one walk.
+decision share one walk, which is checked where it is built (``fpp_list``).
 """
 
 from __future__ import annotations
@@ -101,8 +101,10 @@ class LaplacianSimplex:
         corresponds to r in the group Lambda = (Z^n A + qZ^n) / qZ^n, and its
         height is sum(r) / q.  An odometer over a modular echelon basis of
         Lambda visits each of the q points once, with every entry below q.
-        Callers go through ``ehrhart.fpp_points``, which checks the size cap
-        before anything is walked.
+        The walk's own checks run here, once per simplex, for every consumer:
+        each point is integral, 0 <= height < n, and the walk yields n*kappa
+        distinct points.  Callers go through ``ehrhart.fpp_points``, which
+        checks the size cap before anything is walked.
         """
         adj, s = self.lifted_inverse_scaled  # lifted @ adj == s * I
         q = abs(s)
@@ -124,6 +126,8 @@ class LaplacianSimplex:
             if not 0 <= height < self.n:
                 raise InternalInconsistencyError(f"parallelepiped point at height {height}")
             out.append(FppPoint(tuple(point), height, r, q))
+        if len({p.point for p in out}) != self.volume:
+            raise InternalInconsistencyError("parallelepiped enumeration lost points")
         return tuple(out)
 
     @cached_property

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lapsim import analysis, ehrhart, graph as g, linalg, simplex as splx
-from lapsim.errors import DomainError
+from lapsim.errors import DomainError, FeasibilityError, InternalInconsistencyError
 from oracles import idp_by_cone_search
 
 
@@ -97,11 +97,47 @@ def test_analyze_walks_the_group_once(monkeypatch):
     assert calls == [36]
 
 
-def test_idp_cap():
-    from lapsim.errors import FeasibilityError
-
-    with pytest.raises(FeasibilityError):
+def test_fpp_cap_bounds_is_idp():
+    with pytest.raises(FeasibilityError) as exc:
         analysis.is_idp(splx.build(g.family("cycle", 5)), cap=3)
+    assert exc.value.required == 25
+
+
+def test_fpp_cap_bounds_every_walk(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "hermite_basis_mod", lambda M, q: calls.append(q))
+    r = analysis.analyze(g.family("cycle", 5), fpp_cap=1)
+    assert r.hstar.strategy == "cycle_closed_form" and r.hstar.entries == (1, 1, 21, 1, 1)
+    assert r.idp is None
+    assert len(r.notes) == 1 and r.notes[0].startswith("idp skipped: ")
+    assert calls == []
+
+
+def test_walk_is_checked_for_every_consumer(monkeypatch):
+    original = linalg.group_walk
+
+    def repeat_one(basis, q, n):
+        walk = list(original(basis, q, n))
+        return iter(walk[:-1] + [walk[1]])  # one element twice, the last one lost
+
+    monkeypatch.setattr(linalg, "group_walk", repeat_one)
+    with pytest.raises(InternalInconsistencyError, match="lost points"):
+        analysis.is_idp(splx.build(g.family("cycle", 6)))
+    with pytest.raises(InternalInconsistencyError, match="lost points"):
+        ehrhart.hstar(splx.build(g.family("cycle", 6)), strategy="generic_snf")
+
+
+def test_k7_one_walk_gives_hstar_and_idp(monkeypatch):
+    calls = []
+    original = linalg.hermite_basis_mod
+    monkeypatch.setattr(
+        linalg, "hermite_basis_mod", lambda M, q: calls.append(q) or original(M, q)
+    )
+    S = splx.build(g.family("complete", 7))
+    walked = ehrhart.hstar(S, strategy="generic_snf")
+    assert walked.entries == ehrhart.hstar_complete(7).entries
+    assert analysis.is_idp(S)
+    assert calls == [7**6]
 
 
 # -- structural criteria -----------------------------------------------------
@@ -144,7 +180,7 @@ def test_analyze_even_cycle():
 
 def test_analyze_respects_caps():
     # C6 has no closed form, so the parallelepiped cap applies
-    r = analysis.analyze(g.family("cycle", 6), fpp_cap=1, idp_cap=1)
+    r = analysis.analyze(g.family("cycle", 6), fpp_cap=1)
     assert r.hstar is None
     assert r.symmetric is None and r.unimodal is None
     assert r.idp is None
@@ -179,7 +215,7 @@ def test_report_to_dict_schema():
 
 
 def test_report_to_dict_none_fields():
-    d = analysis.analyze(g.family("cycle", 6), fpp_cap=1, idp_cap=1).to_dict()
+    d = analysis.analyze(g.family("cycle", 6), fpp_cap=1).to_dict()
     assert d["hstar"] is None and d["strategy"] is None
     assert d["symmetric"] is None and d["unimodal"] is None and d["idp"] is None
 

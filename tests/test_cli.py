@@ -4,9 +4,12 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapsim import cli
-from lapsim.graph import family, write_edge_list
+from lapsim.errors import LapsimError
+from lapsim.graph import FAMILIES, Graph, family, write_edge_list
 
 
 def run(argv):
@@ -167,6 +170,40 @@ def test_non_ascii_edge_list_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_disconnected_huge_header_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("1000000000 0\n")
+    code, _ = run(["--edge-list", str(path), "report"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# no digits, so a drawn size is never an int and family() never builds a big graph
+_junk = st.text(alphabet="x-+_.: ", max_size=3)
+_family_specs = st.builds(
+    lambda kind, n, rest: ":".join([kind, n, *rest]),
+    st.sampled_from(FAMILIES + ("wheel", "")),
+    st.integers(-3, 30).map(str) | _junk,
+    st.lists(st.integers(-5, 2**40).map(str) | _junk, max_size=2),
+)
+
+
+# free text naming a family could ask for any size, so families come from above
+_free_specs = st.text(max_size=20).filter(lambda spec: spec.split(":")[0] not in FAMILIES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_specs | _free_specs)
+def test_parse_graph_spec_fuzz(spec):
+    # a spec without a colon is read as a path, so OSError is a valid answer
+    try:
+        G = cli._parse_graph_spec(spec)
+    except (LapsimError, OSError):
+        return
+    assert isinstance(G, Graph)
+
+
 def test_cap_flag_softens_to_null_fields():
     code, text = run(["--family", "cycle", "--n", "6", "--fpp-cap", "1", "report"])
     assert code == 0
@@ -177,11 +214,16 @@ def test_cap_flag_softens_to_null_fields():
 
 def test_env_var_caps(monkeypatch):
     monkeypatch.setenv("LAPSIM_FPP_CAP", "1")
-    monkeypatch.setenv("LAPSIM_IDP_CAP", "1")
     code, text = run(["--family", "cycle", "--n", "6", "report"])
     assert code == 0
     d = json.loads(text)
     assert d["hstar"] is None and d["idp"] is None
+
+
+def test_removed_idp_flag_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        run(["--family", "cycle", "--n", "6", "--idp-cap", "5", "report"])
+    assert exc.value.code == 2
 
 
 def test_env_var_invalid(monkeypatch):

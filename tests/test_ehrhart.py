@@ -114,6 +114,16 @@ def test_walk_matches_odd_cycle_closed_form():
             assert list(walked) == expected
 
 
+def test_walk_matches_odd_cycle_closed_form_to_c41():
+    for n in range(17, 42, 2):
+        walked = ehrhart.hstar(splx.build(g.family("cycle", n)), strategy="generic_snf")
+        assert walked.entries == ehrhart.hstar_cycle_closed_form(n).entries
+        if all(n % p for p in range(3, n, 2)):  # prime n: the walk has the prime shape
+            expected = [1] * n
+            expected[(n - 1) // 2] = n * n - n + 1
+            assert list(walked) == expected, n
+
+
 def test_walk_matches_complete_closed_form():
     for n in (5, 6):
         walked = ehrhart.hstar(splx.build(g.family("complete", n)), strategy="generic_snf")

@@ -4,9 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapsim import graph as g
-from lapsim.errors import DomainError
+from lapsim.errors import DomainError, LapsimError
 from lapsim.graph import Graph
 
 
@@ -230,6 +232,47 @@ def test_parse_errors():
         g.parse_edge_list("2 2\n1 2\n")  # wrong edge count
     with pytest.raises(DomainError):
         g.parse_edge_list("2 1\n1 two\n")
+
+
+def test_parse_rejects_huge_header_without_edges():
+    # too few edges to connect: rejected before one set per vertex is built
+    with pytest.raises(DomainError, match="connected"):
+        g.parse_edge_list("1000000000 0\n")
+
+
+# mostly u < v inside [1, 5], sometimes any pair in [0, 6]
+_edge_line = (
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda e: (min(e), max(e) + 1))
+    | st.tuples(st.integers(0, 6), st.integers(0, 6))
+).map("{0[0]} {0[1]}".format)
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """A header "n m" and a few lines, mostly edges, some arbitrary text."""
+    n = draw(st.integers(1, 5) | st.integers(-2, 10**12))
+    edges = draw(st.lists(_edge_line, max_size=8))
+    if draw(st.booleans()):  # a spanning path, so that some inputs are connected
+        edges += [f"{i} {i + 1}" for i in range(1, min(n, 6))]
+    lines = draw(st.permutations(edges + draw(st.lists(st.text(max_size=8), max_size=2))))
+    counted = sum(1 for ln in lines if ln.strip() and not ln.lstrip().startswith("#"))
+    m = draw(st.just(counted) | st.integers(-1, 12))
+    return "\n".join([f"{n} {m}", *lines])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_list_texts() | st.text(max_size=40))
+def test_parse_edge_list_fuzz(text):
+    try:
+        G = g.parse_edge_list(text)
+    except LapsimError:
+        return
+    assert isinstance(G, Graph)
+
+
+def test_read_edge_list_rejects_nul_in_path():
+    with pytest.raises(DomainError):
+        g.read_edge_list("g\x00.txt")
 
 
 def test_file_roundtrip(tmp_path):
