@@ -67,23 +67,6 @@ def is_symmetric(h) -> bool:
     return entries == entries[::-1]
 
 
-def guard_packing(q: int, n: int):
-    """(pack, guard) for n-vectors with entries in [0, q), one int per vector.
-
-    Each entry gets a field of q.bit_length() + 1 bits, and ``guard`` holds
-    the top bit of every field.  For packed r and g, d = (r | guard) - g
-    borrows only inside each field, so d & guard == guard exactly when
-    g <= r componentwise, and then d ^ guard is the packed r - g.
-    """
-    width = q.bit_length() + 1
-    guard = sum(1 << (width * i + width - 1) for i in range(n))
-
-    def pack(r):
-        return sum(x << (width * i) for i, x in enumerate(r))
-
-    return pack, guard
-
-
 def is_idp(S: splx.LaplacianSimplex, cap: int = ehrhart.DEFAULT_FPP_CAP) -> bool:
     """Decide the integer decomposition property on the parallelepiped group.
 
@@ -104,22 +87,31 @@ def is_idp(S: splx.LaplacianSimplex, cap: int = ehrhart.DEFAULT_FPP_CAP) -> bool
     first point that fails.  By then every element at height h - 1 has been
     shown to decompose, and r - g with g <= r is such an element (it lies in
     [0, q)^n and in the group), so the test at height h is only whether some
-    height-1 g lies below r.  Each r is packed into one int (see
-    ``guard_packing``), which makes that test one big-int subtraction.
+    height-1 g lies below r.  The walk yields each r packed into one int by
+    ``linalg.group_packing``, whose fields have a guard bit above q: then
+    d = (r | guard) - g borrows only inside each field, and d & guard == guard
+    exactly when g <= r componentwise.  So the test is one big-int
+    subtraction per candidate, on the walk's own ints.
 
     ``cap`` is the parallelepiped cap of ``ehrhart.fpp_points``, which raises
     ``FeasibilityError`` before anything is walked; the walk is checked
     where it is built, in ``LaplacianSimplex.fpp_list``.
     """
-    pack, guard = guard_packing(S.volume, S.n)
     by_height = [[] for _ in range(S.n)]
-    for p in ehrhart.fpp_points(S, cap=cap):
-        by_height[p.height].append(pack(p.r))
-    gens = by_height[1]
+    for height, r in ehrhart.fpp_points(S, cap=cap):
+        by_height[height].append(r)
+    packing = linalg.group_packing(S.volume, S.n)
+    guard = packing.guard
+    # a generator with a small largest coordinate lies below more elements,
+    # so trying those first finds a witness sooner (K7: 38 to 29 tries each)
+    gens = sorted(by_height[1], key=lambda g: max(packing.unpack(g)))
     for level in by_height[2:]:
         for r in level:
             r |= guard
-            if not any((r - g) & guard == guard for g in gens):
+            for g in gens:
+                if (r - g) & guard == guard:
+                    break
+            else:
                 return False
     return True
 

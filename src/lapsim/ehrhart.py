@@ -3,8 +3,9 @@
 The generic path (strategy name ``generic_snf``, kept for compatibility)
 counts the lattice points of the half-open parallelepiped spanned by the
 lifted vertex rows M = [L_B | 1] by height.  The simplex walks them once, as
-the finite group Lambda = (Z^n adj(M) + qZ^n) / qZ^n with q = |det M|, and
-caches and checks the walk (``LaplacianSimplex.fpp_list``); ``fpp_points``
+the finite group Lambda = (Z^n adj(M) + qZ^n) / qZ^n with q = |det M|, each
+element kept as one packed int with its height, and caches and checks the
+walk (``LaplacianSimplex.fpp_list``); ``fpp_points``
 checks the one size cap on that walk and then yields from the cache, so the
 h* histogram and the IDP decision share one walk.  Closed forms cover trees,
 odd cycles, and complete graphs, and a dilate-counting scan over the facet
@@ -64,8 +65,10 @@ class HStarVector:
 
 
 def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
-    """Yield the n*kappa fundamental parallelepiped points as ``FppPoint``s.
+    """Yield the n*kappa fundamental parallelepiped points as (height, packed r).
 
+    r is the point's group element, packed into one int by
+    ``linalg.group_packing(S.volume, S.n)``; the point itself is r M / q.
     This is the only size cap on the walk: it is checked before anything is
     walked, for the h* histogram and the IDP decision alike.  The walk itself
     runs once per simplex, is checked there and is cached as ``S.fpp_list``.
@@ -80,16 +83,25 @@ def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
 
 
 def hstar_cycle_closed_form(n: int) -> HStarVector:
-    """h* of the odd cycle simplex from the kernel classification."""
+    """h* of the odd cycle simplex from the kernel classification.
+
+    The kernel elements (alpha, beta) in (Z/n)^2 are the parallelepiped
+    points, and (alpha, beta) is at height sum_j ((alpha + j beta) mod n) / n.
+    As j runs over Z/n, alpha + j beta takes each of the n/g values of the
+    coset alpha + gZ modulo n exactly g times, with g = gcd(beta, n), which
+    sums to height (alpha mod g) + (n - g) / 2.  n is odd, so its divisor g
+    is odd and (n - g) / 2 is an integer.  For each beta, alpha mod g takes
+    each value in [0, g) exactly n/g times, so the counts take at most
+    O(n^2) steps.  ``tests/oracles.py`` keeps the kernel sum as the
+    definition this is checked against.
+    """
     if n < 3 or n % 2 == 0:
         raise DomainError("cycle closed form applies to odd n >= 3 only")
     counts = [0] * n
-    for alpha in range(n):
-        for beta in range(n):
-            total = sum((alpha + j * beta) % n for j in range(n))
-            if total % n:
-                raise InternalInconsistencyError(f"kernel sum {total} is not divisible by {n}")
-            counts[total // n] += 1
+    for beta in range(n):
+        g = gcd(beta, n)
+        for a in range(g):
+            counts[a + (n - g) // 2] += n // g
     return HStarVector(tuple(counts), "cycle_closed_form")
 
 
@@ -140,8 +152,8 @@ def hstar(S: LaplacianSimplex, strategy=None, cap: int = DEFAULT_FPP_CAP) -> HSt
         h = hstar_complete(G.n)
     elif strategy == "generic_snf":
         counts = [0] * S.n
-        for p in fpp_points(S, cap=cap):
-            counts[p.height] += 1
+        for height, _ in fpp_points(S, cap=cap):
+            counts[height] += 1
         h = HStarVector(tuple(counts), "generic_snf")
     elif strategy == "dilate_interpolation":
         counts = [count_dilate_points(S, t) for t in range(S.n)]

@@ -10,6 +10,7 @@ floating point.
 from __future__ import annotations
 
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
 
@@ -208,26 +209,92 @@ def hermite_basis_mod(M: IntMatrix, q: int):
     return basis
 
 
-def group_walk(basis, q, n):
-    """Yield c_0 b_0 + ... + c_k b_k mod q for every digit vector 0 <= c_j < m_j.
+class GroupPacking(NamedTuple):
+    """n nonnegative integers kept in one int, ``width`` bits per field.
 
-    ``basis`` holds pairs (b_j, m_j); an odometer turns the last digit
-    fastest, so each step adds one b_j and undoes the digits that wrapped.
+    Field i holds entry i at bits width*i and up; ``ones`` has a 1 in every
+    field and ``guard`` the top bit of every field.  Made by ``group_packing``.
     """
-    undo = [tuple((1 - m) * x % q for x in b) for b, m in basis]
-    digits = [0] * len(basis)
-    cur = (0,) * n
+
+    n: int
+    width: int
+    ones: int
+    guard: int
+
+    def pack(self, v):
+        return sum(x << (self.width * i) for i, x in enumerate(v))
+
+    def unpack(self, r):
+        field = (1 << self.width) - 1
+        return tuple((r >> (self.width * i)) & field for i in range(self.n))
+
+
+def group_packing(q: int, n: int) -> GroupPacking:
+    """The one packing of the walk's group elements, modulo q in n coordinates.
+
+    A field holds a coordinate below 2q in the middle of a walk step, with
+    q <= 2^(width-1) so that the guard bit marks the coordinates that reached
+    q, and it holds a coordinate sum, which is q(n - 1) for a parallelepiped
+    point at height n - 1.  The width is the least that does both.  For
+    n >= 3 a field one bit narrower cannot hold q(n - 1), and every Laplacian
+    simplex has points at height n - 1 (its interior lattice points, the
+    origin among them), so the walk's height check fails on them.
+    """
+    width = (q * max(n - 1, 2)).bit_length()
+    ones = sum(1 << (width * i) for i in range(n))
+    return GroupPacking(n, width, ones, ones << (width - 1))
+
+
+def odometer_steps(basis, q):
+    """The vector an odometer over ``basis`` adds when it raises each digit.
+
+    ``basis`` holds pairs (b_j, m_j), digit j running over [0, m_j).  Raising
+    digit j resets every later digit i from m_i - 1 to 0, so the step is b_j
+    plus the undo vector (1 - m_i) b_i of every later i, reduced modulo q.
+    Returns the pairs (step_j, m_j).
+    """
+    steps = []
+    undo = [0] * len(basis[0][0]) if basis else []
+    for b, m in reversed(basis):
+        steps.append((tuple((x + y) % q for x, y in zip(b, undo)), m))
+        undo = [y + (1 - m) * x for x, y in zip(b, undo)]
+    return steps[::-1]
+
+
+def group_walk(steps, q, packing):
+    """Yield (height, r) for every digit vector of an odometer over ``steps``.
+
+    ``steps`` holds pairs (s_j, m_j) from ``odometer_steps``, vectors with
+    entries in [0, q) that sum to a multiple of q, so r runs over
+    c_0 b_0 + ... + c_k b_k mod q.  r is yielded packed by ``packing`` and its
+    height is sum(r) / q.  The last digit turns fastest, and each step adds
+    one packed s_j.  Adding packed 2^(w-1) - q then sets the guard bit of
+    exactly the fields that reached q, and q is taken out of those fields, so
+    every field stays below q with no per-coordinate work (Lamport, "Multiple
+    byte processing with full-word instructions", 1975).  Each such wrap
+    lowers the coordinate sum by q, so the height moves by the step's own
+    height minus the number of wraps.
+    """
+    guard, top = packing.guard, packing.width - 1
+    over = guard - q * packing.ones
+    packed = [packing.pack(s) for s, _ in steps]
+    rises = [sum(s) // q for s, _ in steps]
+    last = [m - 1 for _, m in steps]
+    digits = [0] * len(steps)
+    cur = height = 0
     while True:
-        yield cur
-        j = len(basis) - 1
-        while j >= 0 and digits[j] == basis[j][1] - 1:
+        yield height, cur
+        j = len(steps) - 1
+        while j >= 0 and digits[j] == last[j]:
             digits[j] = 0
-            cur = tuple([(x + y) % q for x, y in zip(cur, undo[j])])
             j -= 1
         if j < 0:
             return
         digits[j] += 1
-        cur = tuple([(x + y) % q for x, y in zip(cur, basis[j][0])])
+        cur += packed[j]
+        wrapped = (cur + over) & guard
+        cur -= (wrapped >> top) * q
+        height += rises[j] - wrapped.bit_count()
 
 
 def is_unimodular(M: IntMatrix) -> bool:

@@ -20,17 +20,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
 from . import linalg
 from .linalg import IntMatrix
 from .graph import Graph, laplacian, spanning_tree_count
-
-
-def basis_change_matrix(n: int) -> IntMatrix:
-    """Upper triangular n x (n-1) matrix of ones on and above the diagonal."""
-    return IntMatrix([[1 if i <= j else 0 for j in range(n - 1)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -50,20 +44,6 @@ class FacetData:
     @property
     def is_lattice_vertex(self):
         return all(c.denominator == 1 for c in self.dual_vertex)
-
-
-class FppPoint(NamedTuple):
-    """A lattice point of the fundamental parallelepiped.
-
-    ``point`` includes the height as its last coordinate.  Its barycentric
-    coefficients in [0, 1) are ``r[i] / q``: ``r`` is an integer vector with
-    0 <= r[i] < q and r . M == q * point for the lifted matrix M.
-    """
-
-    point: tuple
-    height: int
-    r: tuple
-    q: int
 
 
 class LaplacianSimplex:
@@ -95,38 +75,57 @@ class LaplacianSimplex:
 
     @cached_property
     def fpp_list(self):
-        """The n*kappa parallelepiped points, walked once and shared by its users.
+        """The n*kappa parallelepiped points as (height, packed r), walked once.
 
         With A = adj(M) and q = |det M|, a point r M / q with 0 <= r < q
         corresponds to r in the group Lambda = (Z^n A + qZ^n) / qZ^n, and its
-        height is sum(r) / q.  An odometer over a modular echelon basis of
-        Lambda visits each of the q points once, with every entry below q.
-        The walk's own checks run here, once per simplex, for every consumer:
-        each point is integral, 0 <= height < n, and the walk yields n*kappa
-        distinct points.  Callers go through ``ehrhart.fpp_points``, which
-        checks the size cap before anything is walked.
+        height is sum(r) / q.  An odometer over a modular echelon basis b_j of
+        Lambda visits each element once, kept as one int packed by
+        ``linalg.group_packing``; no point's coordinates are formed.
+
+        Integrality is checked once per odometer step s_j, the vector the
+        walk adds when it raises digit j (b_j plus undo vectors of the later
+        b_i): s_j has entries in [0, q) and s_j M = 0 (mod q) in every column.
+        Between steps the walk only takes q out of single fields, so every
+        element it yields is congruent modulo q to a sum of steps, and r M / q
+        is integral.  That needs every packed field to stay in [0, q), with
+        no carry or borrow between fields; the per-point checks guard it, run
+        for every consumer and raise even under ``python -O``: each field is
+        below q (one add, one OR and one AND against the guard bits, which
+        also catch a field that borrowed), the height is derived again from
+        the packed coordinate sum and must equal q * height with
+        0 <= height < n, and the walk yields n*kappa distinct ints.  Callers
+        go through ``ehrhart.fpp_points``, which checks the size cap before
+        anything is walked.
         """
         adj, s = self.lifted_inverse_scaled  # lifted @ adj == s * I
-        q = abs(s)
+        q, n = abs(s), self.n
         basis = [
             (b, q // b[j])
             for j, b in enumerate(linalg.hermite_basis_mod(adj, q))
             if b[j] != q
         ]
+        steps = linalg.odometer_steps(basis, q)
         cols = list(zip(*self.lifted.rows))
-        out = []
-        for r in linalg.group_walk(basis, q, self.n):
-            point = []
-            for c in cols:
-                x, rem = divmod(sum(map(mul, r, c)), q)
-                if rem:
-                    raise InternalInconsistencyError("parallelepiped point is not integral")
-                point.append(x)
-            height = point[-1]
-            if not 0 <= height < self.n:
-                raise InternalInconsistencyError(f"parallelepiped point at height {height}")
-            out.append(FppPoint(tuple(point), height, r, q))
-        if len({p.point for p in out}) != self.volume:
+        for step, _ in steps:
+            if not all(0 <= x < q for x in step) or any(
+                sum(map(mul, step, c)) % q for c in cols
+            ):
+                raise InternalInconsistencyError(f"odometer step {step} is not in the group")
+        packing = linalg.group_packing(q, n)
+        ones, guard = packing.ones, packing.guard
+        over = guard - q * ones  # a field below 2^(w-1) reaches its guard bit iff >= q
+        shift, field = (n - 1) * packing.width, (1 << packing.width) - 1
+        out = list(linalg.group_walk(steps, q, packing))
+        for height, r in out:
+            if (r | r + over) & guard:
+                raise InternalInconsistencyError("group element with a field outside [0, q)")
+            total = ((r * ones) >> shift) & field  # the top field of r * ones
+            if total != q * height or not 0 <= height < n:
+                raise InternalInconsistencyError(
+                    f"parallelepiped point at height {height} has coordinate sum {total}"
+                )
+        if len(out) != q or len({r for _, r in out}) != q:
             raise InternalInconsistencyError("parallelepiped enumeration lost points")
         return tuple(out)
 
@@ -142,8 +141,13 @@ def build(G: Graph) -> LaplacianSimplex:
     """Construct the Laplacian simplex of a connected graph."""
     if G.n < 2:
         raise DomainError("Laplacian simplex needs n >= 2")
-    L = laplacian(G)
-    LB = L @ basis_change_matrix(G.n)
+    # L_B = L times the upper triangular 0/1 matrix: L_B[i][j] is the sum of
+    # L[i][k] over k <= j, for j < n - 1
+    rows = []
+    for row in laplacian(G).rows:
+        total = 0
+        rows.append([total := total + x for x in row[:-1]])
+    LB = IntMatrix(rows)
     if any(sum(LB.col(j)) for j in range(LB.ncols)):
         raise InternalInconsistencyError("a column of L_B does not sum to zero")
     return LaplacianSimplex(G, LB, spanning_tree_count(G))

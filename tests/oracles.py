@@ -1,17 +1,55 @@
 """Slow, independent reference computations that the tests compare against.
 
-These use rational Gauss elimination, Laplace expansion and a memoised cone
-search, methods the library itself no longer runs, so agreement is a real
-cross-check.
+These use rational Gauss elimination, Laplace expansion, a memoised cone
+search, a dense change-of-basis product, the coordinates r M / q of each
+parallelepiped point and the odd-cycle kernel sum, methods the library
+itself no longer runs, so agreement is a real cross-check.
 """
 
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from lapsim import ehrhart
+from lapsim import ehrhart, linalg
 from lapsim.errors import DomainError, ShapeError, SingularMatrixError
 from lapsim.linalg import IntMatrix
+
+
+def basis_change_matrix(n: int) -> IntMatrix:
+    """Upper triangular n x (n-1) matrix of ones on and above the diagonal."""
+    return IntMatrix([[1 if i <= j else 0 for j in range(n - 1)] for i in range(n)])
+
+
+def fpp_point(S, r):
+    """The parallelepiped point r M / q of a packed group element r, rebuilt.
+
+    r is unpacked with the walk's own packing and multiplied by the lifted
+    matrix M; every coordinate must be divisible by q = |det M|.  The last
+    coordinate of the point is its height.
+    """
+    q = S.volume
+    coords = S.lifted.mul_row_vector(linalg.group_packing(q, S.n).unpack(r))
+    if any(x % q for x in coords):
+        raise AssertionError(f"r M = {coords} is not divisible by q = {q}")
+    return tuple(x // q for x in coords)
+
+
+def hstar_cycle_by_kernel_sum(n: int):
+    """h* of the odd cycle simplex by summing over the kernel, O(n^3).
+
+    Each (alpha, beta) in (Z/n)^2 is a parallelepiped point at height
+    sum_j ((alpha + j beta) mod n) / n; the sum must be divisible by n.
+    """
+    if n < 3 or n % 2 == 0:
+        raise DomainError("the kernel sum applies to odd n >= 3 only")
+    counts = [0] * n
+    for alpha in range(n):
+        for beta in range(n):
+            total = sum((alpha + j * beta) % n for j in range(n))
+            if total % n:
+                raise AssertionError(f"kernel sum {total} is not divisible by {n}")
+            counts[total // n] += 1
+    return tuple(counts)
 
 
 def solve_exact(M: IntMatrix, b):
@@ -85,8 +123,8 @@ def idp_by_cone_search(S):
     """
     if S.n > 6:
         raise DomainError("the cone-search oracle is meant for n <= 6")
-    pts = list(ehrhart.fpp_points(S))
-    gens = {p.point[:-1] for p in pts if p.height == 1}
+    pts = [fpp_point(S, r) for _, r in ehrhart.fpp_points(S)]
+    gens = {p[:-1] for p in pts if p[-1] == 1}
     gens.update(tuple(r) for r in S.vertex_matrix.rows)
     adj, s = S.lifted_inverse_scaled
     sign = 1 if s > 0 else -1
@@ -111,4 +149,4 @@ def idp_by_cone_search(S):
             )
         return memo[key]
 
-    return all(decomposes(p.point[:-1], p.height) for p in pts if p.height >= 2)
+    return all(decomposes(p[:-1], p[-1]) for p in pts if p[-1] >= 2)

@@ -74,13 +74,15 @@ def test_idp_matches_cone_search_oracle():
 
 def test_guard_packing_subtraction():
     q, n = 25, 3
-    pack, guard = analysis.guard_packing(q, n)
+    packing = linalg.group_packing(q, n)
+    pack, guard = packing.pack, packing.guard
     r = (7, q - 1, 3)
     # equal component, top component r_i = q - 1, and a strictly smaller one
     for g_vec in ((7, q - 1, 0), (7, 0, 3), (0, q - 2, 2), (7, q - 1, 3)):
         d = (pack(r) | guard) - pack(g_vec)
         assert d & guard == guard
         assert d ^ guard == pack(tuple(a - b for a, b in zip(r, g_vec)))
+        assert packing.unpack(d ^ guard) == tuple(a - b for a, b in zip(r, g_vec))
     # one component larger than r's: the borrow clears that field's guard bit
     for g_vec in ((8, 0, 0), (0, 0, 4), (7, q - 1, 4)):
         assert ((pack(r) | guard) - pack(g_vec)) & guard != guard
@@ -116,8 +118,8 @@ def test_fpp_cap_bounds_every_walk(monkeypatch):
 def test_walk_is_checked_for_every_consumer(monkeypatch):
     original = linalg.group_walk
 
-    def repeat_one(basis, q, n):
-        walk = list(original(basis, q, n))
+    def repeat_one(steps, q, packing):
+        walk = list(original(steps, q, packing))
         return iter(walk[:-1] + [walk[1]])  # one element twice, the last one lost
 
     monkeypatch.setattr(linalg, "group_walk", repeat_one)
@@ -138,6 +140,13 @@ def test_k7_one_walk_gives_hstar_and_idp(monkeypatch):
     assert walked.entries == ehrhart.hstar_complete(7).entries
     assert analysis.is_idp(S)
     assert calls == [7**6]
+
+
+def test_c101_report():
+    r = analysis.analyze(g.family("cycle", 101))
+    assert r.hstar.strategy == "cycle_closed_form"
+    assert r.hstar.entries == ehrhart.hstar_cycle_closed_form(101).entries
+    assert r.idp is False and r.reflexive and r.notes == ()
 
 
 # -- structural criteria -----------------------------------------------------

@@ -179,6 +179,20 @@ def test_disconnected_huge_header_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "complete", "--n", "1000000000", "report"],
+        ["--family", "path", "--n", "3", "--bridge-with", "complete:1000000000", "report"],
+    ],
+)
+def test_huge_family_exit_2(argv, capsys):
+    code, _ = run(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: family size n = 1000000000") and err.count("\n") == 1
+
+
 # no digits, so a drawn size is never an int and family() never builds a big graph
 _junk = st.text(alphabet="x-+_.: ", max_size=3)
 _family_specs = st.builds(

@@ -1,13 +1,19 @@
 """h*-vectors, parallelepiped enumeration, and dilate counting oracles."""
 
+import inspect
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from lapsim import ehrhart, graph as g, simplex as splx
-from lapsim.errors import DomainError, FeasibilityError
-from oracles import solve_exact
+import lapsim
+from lapsim import analysis, ehrhart, graph as g, linalg, simplex as splx
+from lapsim.errors import DomainError, FeasibilityError, InternalInconsistencyError
+from oracles import fpp_point, hstar_cycle_by_kernel_sum, solve_exact
 
 
 def brute_fpp_heights(S):
@@ -60,13 +66,28 @@ def test_fpp_points_c3():
     S = splx.build(g.family("cycle", 3))
     pts = list(ehrhart.fpp_points(S))
     assert len(pts) == 9
-    assert len({p.point for p in pts}) == 9
-    for p in pts:
-        assert p.point[-1] == p.height
-        assert 0 <= p.height < 3
-        assert p.q == 9 and all(0 <= x < p.q for x in p.r)
-        # the scaled coefficients r / q reproduce the point exactly
-        assert S.lifted.mul_row_vector(p.r) == tuple(p.q * x for x in p.point)
+    packing = linalg.group_packing(9, 3)
+    # the coordinates r M / q rebuilt from each packed r are 9 distinct points
+    points = {fpp_point(S, r) for _, r in pts}
+    assert len(points) == 9
+    for height, r in pts:
+        assert fpp_point(S, r)[-1] == height
+        assert 0 <= height < 3
+        assert all(0 <= x < 9 for x in packing.unpack(r))
+
+
+def test_walk_matches_coordinate_rebuild():
+    rng = random.Random(29)
+    graphs = [g.family("complete", 5), g.family("cycle", 9)]
+    for _ in range(25):
+        graphs.append(g.random_connected_graph(rng.randint(3, 8), seed=rng.randrange(2**30)))
+    for G in graphs:
+        S = splx.build(G)
+        pts = list(ehrhart.fpp_points(S))
+        # fpp_point raises unless r M is divisible by q; its last coordinate is the height
+        points = [fpp_point(S, r) for _, r in pts]
+        assert [p[-1] for p in points] == [height for height, _ in pts], G
+        assert len(set(points)) == S.volume, G
 
 
 def test_fpp_heights_match_brute_force():
@@ -78,8 +99,8 @@ def test_fpp_heights_match_brute_force():
     ):
         S = splx.build(G)
         got = [0] * S.n
-        for p in ehrhart.fpp_points(S):
-            got[p.height] += 1
+        for height, _ in ehrhart.fpp_points(S):
+            got[height] += 1
         assert got == brute_fpp_heights(S)
 
 
@@ -130,6 +151,83 @@ def test_walk_matches_complete_closed_form():
         assert walked.entries == ehrhart.hstar_complete(n).entries
 
 
+def mutant(fn, old, new):
+    """``fn`` recompiled from its source with ``old`` replaced by ``new``."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(src.replace(old, new), f"<mutant of {fn.__name__}>", "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+# Each mutation breaks the packed walk; a check in fpp_list must catch it for
+# both consumers.  An undo vector that is some other multiple of b_i is not
+# among them: it changes the digits by a triangular shear, so the walk still
+# visits every group element once and every answer stays right.
+WALK_MUTATIONS = {
+    "undo vector left unreduced": (
+        linalg.odometer_steps,
+        "tuple((x + y) % q for x, y in zip(b, undo))",
+        "tuple(x + y for x, y in zip(b, undo))",
+    ),
+    "undo vector reduced modulo q - 1": (
+        linalg.odometer_steps,
+        "tuple((x + y) % q for x, y in zip(b, undo))",
+        "tuple((x + y) % (q - 1) for x, y in zip(b, undo))",
+    ),
+    "missing wrap subtract": (
+        linalg.group_walk,
+        "cur -= (wrapped >> top) * q",
+        "pass",
+    ),
+    "wrap test one below q": (
+        linalg.group_walk,
+        "over = guard - q * packing.ones",
+        "over = guard - (q - 1) * packing.ones",
+    ),
+    "field one bit too narrow": (
+        linalg.group_packing,
+        "width = (q * max(n - 1, 2)).bit_length()",
+        "width = (q * max(n - 1, 2)).bit_length() - 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(WALK_MUTATIONS))
+def test_walk_mutations_are_caught(monkeypatch, mutation):
+    fn, old, new = WALK_MUTATIONS[mutation]
+    monkeypatch.setattr(linalg, fn.__name__, mutant(fn, old, new))
+    # both groups need two odometer digits and reach a coordinate q - 1, so
+    # every mutation above changes their walks
+    for seed in (0, 3):
+        G = g.random_connected_graph(7, seed=seed, extra_edges=3)
+        with pytest.raises(InternalInconsistencyError):
+            ehrhart.hstar(splx.build(G), strategy="generic_snf")
+        with pytest.raises(InternalInconsistencyError):
+            analysis.is_idp(splx.build(G))
+
+
+def test_corrupted_walk_raises_under_optimize():
+    # the walk's checks are raises, not asserts, so python -O keeps them
+    code = (
+        "from lapsim import ehrhart, family, linalg, simplex as splx\n"
+        "from lapsim.errors import InternalInconsistencyError\n"
+        "walk = linalg.group_walk\n"
+        "linalg.group_walk = lambda *a: ((h, r + 1) for h, r in walk(*a))\n"
+        "try:\n"
+        "    ehrhart.hstar(splx.build(family('cycle', 6)), strategy='generic_snf')\n"
+        "except InternalInconsistencyError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lapsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: parallelepiped point at height 0"), proc.stdout
+
+
 def test_fpp_cap():
     S = splx.build(g.family("cycle", 5))
     with pytest.raises(FeasibilityError) as exc:
@@ -150,6 +248,11 @@ def test_cycle_closed_form_totals():
         h = ehrhart.hstar_cycle_closed_form(n)
         assert h.total == n * n
         assert h.entries == h.entries[::-1]
+
+
+def test_cycle_closed_form_matches_kernel_sum():
+    for n in range(3, 60, 2):
+        assert ehrhart.hstar_cycle_closed_form(n).entries == hstar_cycle_by_kernel_sum(n), n
 
 
 def test_cycle_closed_form_domain():

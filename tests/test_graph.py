@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapsim import graph as g
-from lapsim.errors import DomainError, LapsimError
+from lapsim.errors import DomainError, FeasibilityError, LapsimError
 from lapsim.graph import Graph
 
 
@@ -82,6 +82,15 @@ def test_family_validation():
         g.family("cycle", 2)
     with pytest.raises(DomainError):
         g.family("nope", 3)
+
+
+def test_family_rejects_sizes_above_the_bound():
+    with pytest.raises(FeasibilityError) as exc:
+        g.family("complete", 10**9)
+    assert exc.value.required == 10**9
+    with pytest.raises(FeasibilityError):
+        g.family("path", g.MAX_FAMILY_N + 1)
+    assert g.family("star", g.MAX_FAMILY_N).n == g.MAX_FAMILY_N
 
 
 def test_random_tree_deterministic_per_seed():

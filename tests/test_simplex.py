@@ -12,13 +12,20 @@ import lapsim
 from lapsim import graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, ShapeError
 from lapsim.linalg import IntMatrix
-from oracles import facets_by_solves, solve_exact
+from oracles import basis_change_matrix, facets_by_solves, solve_exact
 
 
 def test_basis_change_matrix():
-    A = splx.basis_change_matrix(4)
+    A = basis_change_matrix(4)
     assert A.rows == ((1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0))
     assert linalg.determinant(A.submatrix([3])) == 1
+
+
+def test_build_matches_basis_change_product():
+    rng = random.Random(31)
+    for _ in range(25):
+        G = g.random_connected_graph(rng.randint(2, 12), seed=rng.randrange(2**30))
+        assert splx.build(G).vertex_matrix == g.laplacian(G) @ basis_change_matrix(G.n), G
 
 
 def test_build_c5_vertex_matrix():
