@@ -13,7 +13,6 @@ from .graph import (
     family,
     leaf_move,
     random_connected_graph,
-    spanning_tree_count,
     whisker,
 )
 from .ehrhart import HStarVector

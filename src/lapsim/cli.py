@@ -13,6 +13,7 @@ inconsistency or any other unexpected error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,7 +39,9 @@ def _env_int(name, default):
         raise DomainError(f"{name} must be an integer, got {val!r}") from exc
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on the first call to ``main``."""
     p = argparse.ArgumentParser(
         prog="lapsim",
         description="Exact Ehrhart-theoretic analysis of Laplacian simplices.",
@@ -206,8 +209,7 @@ def cmd_verify_paper(args, out):
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
             return cmd_report(args, out)

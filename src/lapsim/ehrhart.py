@@ -294,8 +294,3 @@ def _scan_lattice_points(S: LaplacianSimplex, t: int, cap: int):
 def count_dilate_points(S: LaplacianSimplex, t: int, cap: int = DEFAULT_SCAN_CAP) -> int:
     """Exact |tS intersect Z^d| by direct enumeration; independent oracle."""
     return sum(1 for _ in _scan_lattice_points(S, t, cap))
-
-
-def lattice_points(S: LaplacianSimplex, cap: int = DEFAULT_SCAN_CAP):
-    """All lattice points of the simplex itself (dilate t = 1)."""
-    return sorted(_scan_lattice_points(S, 1, cap))

@@ -15,10 +15,18 @@ from .errors import DomainError, FeasibilityError, InternalInconsistencyError
 from .linalg import IntMatrix
 
 FAMILIES = ("path", "cycle", "complete", "star", "random_tree")
-# The largest n ``family`` builds.  Every report runs an O(n^3) adjugate,
-# whatever the family: ``lapsim --family path --n 500 report`` takes about
-# 50 s on a 2-vCPU host, and the complete graph has n(n-1)/2 edges to build.
-MAX_FAMILY_N = 500
+# The largest n of a graph from ``family``, ``parse_edge_list`` or an operation:
+# each report runs an O(n^3) adjugate, 7-26 s at n = 500 for a path, star or
+# random tree on a 2-vCPU host, and more for dense graphs (K_300: 3 minutes).
+MAX_N = 500
+
+
+def _check_size(n: int, what: str):
+    """Raise ``FeasibilityError`` when n is above ``MAX_N``, before any building."""
+    if n > MAX_N:
+        raise FeasibilityError(
+            f"{what} n = {n} is above the largest supported n, {MAX_N}", required=n
+        )
 
 
 def _normalize_edges(edges):
@@ -114,7 +122,7 @@ def laplacian(G: Graph) -> IntMatrix:
 
 
 def spanning_tree_count(G: Graph) -> int:
-    """Number of spanning trees, as the (1,1) cofactor of the Laplacian."""
+    """Spanning trees as the (1,1) cofactor of L, which the volume is checked against."""
     if G.n == 1:
         return 1
     from .linalg import determinant
@@ -129,15 +137,11 @@ def family(kind: str, n: int, seed=None) -> Graph:
     """Build a named graph family with canonical labeling.
 
     Raises ``FeasibilityError`` before building anything when n is above
-    ``MAX_FAMILY_N``.
+    ``MAX_N``.
     """
     if kind not in FAMILIES:
         raise DomainError(f"unknown family {kind!r}; choose from {FAMILIES}")
-    if n > MAX_FAMILY_N:
-        raise FeasibilityError(
-            f"family size n = {n} is above the largest supported n, {MAX_FAMILY_N}",
-            required=n,
-        )
+    _check_size(n, "family size")
     if kind == "cycle":
         if n < 3:
             raise DomainError("cycle needs n >= 3")
@@ -203,6 +207,7 @@ def random_connected_graph(n: int, seed=None, extra_edges=None) -> Graph:
 
 def whisker(G: Graph) -> Graph:
     """Attach a pendant vertex n+i to every vertex i."""
+    _check_size(2 * G.n, "whiskered graph size")
     edges = set(G.edges)
     edges.update((i, G.n + i) for i in range(1, G.n + 1))
     return Graph(2 * G.n, edges)
@@ -219,6 +224,7 @@ def bridge(G: Graph, G2: Graph, i: int, i2: int) -> Graph:
     if not (1 <= i <= G.n and 1 <= i2 <= G2.n):
         raise DomainError("bridge endpoints out of range")
     n = G.n
+    _check_size(2 * n, "bridged graph size")
     edges = set(G.edges)
     edges.update((u + n, v + n) for u, v in G2.edges)
     edges.add((i, i2 + n))
@@ -231,6 +237,7 @@ def attach_path(G: Graph, v: int, k: int) -> Graph:
         raise DomainError(f"vertex {v} not in graph")
     if k < 1:
         raise DomainError("need k >= 1 vertices to attach")
+    _check_size(G.n + k, "graph size with the attached path")
     edges = set(G.edges)
     prev = v
     for t in range(1, k + 1):
@@ -300,6 +307,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = (int(tok) for tok in lines[0].split())
     except ValueError as exc:
         raise DomainError(f"bad header line {lines[0]!r}") from exc
+    _check_size(n, "edge-list size")
     if len(lines) - 1 != m:
         raise DomainError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -21,7 +21,7 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if not rows or not rows[0]:
             raise ShapeError("matrix must have at least one row and column")
         ncols = len(rows[0])
@@ -34,45 +34,16 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @staticmethod
-    def identity(n):
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def is_square(self):
         return self.nrows == self.ncols
 
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.rows)
-
-    def transpose(self):
-        return IntMatrix(zip(*self.rows))
-
-    def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.ncols != other.nrows:
-                raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-            cols = other.transpose().rows
-            return IntMatrix(
-                [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in self.rows]
-            )
-        return NotImplemented
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def mul_row_vector(self, v):
-        """Row vector times this matrix, exact (ints or Fractions)."""
-        if len(v) != self.nrows:
-            raise ShapeError("vector length does not match row count")
-        return tuple(
-            sum(v[i] * self.rows[i][j] for i in range(self.nrows))
-            for j in range(self.ncols)
-        )
 
     def submatrix(self, delete_rows=(), delete_cols=()):
         """Delete the given 0-based rows and columns."""
@@ -100,28 +71,45 @@ class IntMatrix:
 
 
 def determinant(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Step k replaces each row i > k with a_ik != 0 by (a_kk row_i - a_ik row_k)
+    / prev, exact as every entry is then a minor (Bareiss, Math. Comp. 1968).
+    A row with a_ik == 0 would only be scaled by a_kk / prev: it stays stale,
+    holding its value times scale[i] / prev, until one exact division brings
+    it up to date when it is next used.
+    """
     if not M.is_square:
         raise ShapeError("determinant requires a square matrix")
-    n = M.nrows
     a = [list(r) for r in M.rows]
-    sign = 1
-    prev = 1
+    n = M.nrows
+    scale = [1] * n
+    sign = prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
                 return 0
+            a[k], a[piv] = a[piv], a[k]
+            scale[k], scale[piv] = scale[piv], scale[k]
+            sign = -sign
+        pk = a[k]
+        if scale[k] != prev:
+            b = scale[k]
+            pk = [x * prev // b for x in pk]
+        akk = pk[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            aik = row[k]
+            if aik:
+                b = scale[i]
+                if b != prev:  # bring the row up to date first
+                    row = [x * prev // b for x in row]
+                    aik = row[k]
+                a[i] = [(akk * x - aik * y) // prev for x, y in zip(row, pk)]
+                scale[i] = akk
+        prev = akk
+    return sign * a[-1][-1] * prev // scale[-1]
 
 
 def minor(M: IntMatrix, delete_rows=(), delete_cols=()) -> int:
@@ -133,35 +121,53 @@ def inverse_scaled(M: IntMatrix):
     """Return (A, s) with integer A and M @ A == s * I, s = det(M).
 
     A is the adjugate of M, from one fraction-free Gauss-Jordan elimination
-    of [M | I] (Bareiss 1968): after step k every entry is a (k+1)-minor of
-    the input, so each division is exact and no fraction is ever formed.
+    of [M | I] with the stale rows of ``determinant``.  Step k updates only
+    the live columns k+1..: finished pivot columns are never read again.
+    All n^2 entries of M @ A are checked against s * I from M's nonzero
+    entries, raising ``InternalInconsistencyError`` even under python -O.
     """
     if not M.is_square:
         raise ShapeError("inverse requires a square matrix")
     n = M.nrows
     a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M.rows)]
-    sign = 1
-    prev = 1
+    scale = [1] * n  # row i holds its value times scale[i] / prev
+    sign = prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
+            scale[k], scale[piv] = scale[piv], scale[k]
             sign = -sign
         pk = a[k]
-        akk = pk[k]
-        for i in range(n):
-            if i != k:
-                aik = a[i][k]
-                a[i] = [(akk * x - aik * y) // prev for x, y in zip(a[i], pk)]
+        if scale[k] != prev:
+            b = scale[k]
+            pk[k:] = [x * prev // b for x in pk[k:]]
+        live = slice(k + 1, None)
+        akk, pivot = pk[k], pk[live]
+        for i, row in enumerate(a):
+            aik = row[k]
+            if aik and i != k:
+                b = scale[i]
+                if b != prev:  # bring the row up to date first
+                    row[k:] = [x * prev // b for x in row[k:]]
+                    aik = row[k]
+                row[live] = [(akk * x - aik * y) // prev for x, y in zip(row[live], pivot)]
+                scale[i] = akk
+        scale[k] = akk
         prev = akk
     # [M | I] became [d I | d M^-1], with d = sign * det(M) after the row swaps
     s = sign * prev
-    A = IntMatrix([[sign * x for x in r[n:]] for r in a])
-    if M @ A != IntMatrix([[s if i == j else 0 for j in range(n)] for i in range(n)]):
-        raise InternalInconsistencyError("adjugate check M @ A == det(M) * I failed")
-    return A, s
+    A = [[sign * x * prev // b for x in row[n:]] for row, b in zip(a, scale)]
+    for i, row in enumerate(M.rows):
+        got = [0] * n
+        for j, x in enumerate(row):
+            if x:  # M is sparse: skip its zero entries
+                got = [u + x * v for u, v in zip(got, A[j])]
+        if got != [s if c == i else 0 for c in range(n)]:
+            raise InternalInconsistencyError("adjugate check M @ A == det(M) * I failed")
+    return IntMatrix(A), s
 
 
 def _xgcd(a, b):
@@ -297,19 +303,9 @@ def group_walk(steps, q, packing):
         height += rises[j] - wrapped.bit_count()
 
 
-def is_unimodular(M: IntMatrix) -> bool:
-    """True iff M is square with |det M| = 1."""
-    if not M.is_square:
-        raise ShapeError("unimodularity requires a square matrix")
-    return abs(determinant(M)) == 1
-
-
 def is_primitive(v) -> bool:
     """True iff the nonzero integer vector has entry gcd 1."""
-    v = tuple(int(x) for x in v)
-    if all(x == 0 for x in v):
+    v = tuple(map(int, v))
+    if not any(v):
         raise DomainError("zero vector has no primitivity")
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*v) == 1

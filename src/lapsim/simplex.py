@@ -1,16 +1,17 @@
 """The Laplacian simplex of a connected graph and its facet data.
 
-The simplex is represented by its n x (n-1) vertex matrix: the Laplacian
-expressed in the standard basis of the hyperplane orthogonal to the all-ones
-vector, obtained as L times the upper triangular 0/1 change-of-basis matrix.
+The simplex is represented by its n x (n-1) vertex matrix L_B: the Laplacian
+in the standard basis of the hyperplane orthogonal to the all-ones vector,
+computed as row prefix sums of L.
 
-Volume, the barycentric coordinates of the origin, every facet and the
-lattice points of the fundamental parallelepiped come from one integer
-adjugate of the lifted matrix [L_B | 1], computed once per simplex; only the
-cofactor reflexivity test works from its own minors.  The facets and the
-parallelepiped points are each computed once and cached on the simplex, so
-reflexivity and ``ell`` share one facet list, and the h* walk and the IDP
-decision share one walk, which is checked where it is built (``fpp_list``).
+Volume, the barycentric coordinates of the origin, the integer facets and
+the lattice points of the fundamental parallelepiped come from one checked
+adjugate of the lifted matrix [L_B | 1], computed once per simplex; kappa
+(its own determinant, which the volume is checked against) and the cofactor
+reflexivity test do not use it.  The facets and the parallelepiped points
+are each computed once and cached on the simplex, so reflexivity and
+``ell`` share one facet list, and the h* walk and the IDP decision share one
+walk, which is checked where it is built (``fpp_list``).
 """
 
 from __future__ import annotations
@@ -32,18 +33,22 @@ class FacetData:
     """One facet of the simplex, opposite vertex row ``opposite``.
 
     The facet hyperplane is {x : normal . x = local_index} with a primitive
-    integer normal; ``dual_vertex`` is the corresponding vertex of the dual
-    polytope, i.e. normal / local_index.
+    integer normal.  ``dual_vertex``, normal / local_index, is formed when it
+    is read.  It is a lattice point iff local_index == 1: the normal is
+    primitive, so it is integral iff local_index divides gcd(normal) = 1.
     """
 
     opposite: int
-    dual_vertex: tuple
     normal: tuple
     local_index: int
 
     @property
+    def dual_vertex(self):
+        return tuple(Fraction(x, self.local_index) for x in self.normal)
+
+    @property
     def is_lattice_vertex(self):
-        return all(c.denominator == 1 for c in self.dual_vertex)
+        return self.local_index == 1
 
 
 class LaplacianSimplex:
@@ -61,7 +66,7 @@ class LaplacianSimplex:
     @cached_property
     def lifted(self) -> IntMatrix:
         """The square matrix with rows (v_i, 1)."""
-        return _lift(self.vertex_matrix)
+        return self.vertex_matrix.augment_column([1] * self.n)
 
     @cached_property
     def lifted_inverse_scaled(self):
@@ -163,35 +168,14 @@ def normalized_volume(S: LaplacianSimplex) -> int:
     return vol
 
 
-def _lift(vertex_matrix: IntMatrix) -> IntMatrix:
-    return vertex_matrix.augment_column([1] * vertex_matrix.nrows)
-
-
-def _origin_interior(A: IntMatrix, s: int) -> bool:
+def contains_origin_interior(S: LaplacianSimplex) -> bool:
     # the origin's barycentric coordinates are the last row of A over s
+    A, s = S.lifted_inverse_scaled
     return all(x * s > 0 for x in A.rows[-1])
 
 
-def barycentric_of_origin(vertex_matrix: IntMatrix):
-    """Coefficients lam with lam . [M | 1] = (0,...,0,1); sums to 1."""
-    A, s = linalg.inverse_scaled(_lift(vertex_matrix))
-    return tuple(Fraction(x, s) for x in A.rows[-1])
-
-
-def origin_in_interior(vertex_matrix: IntMatrix) -> bool:
-    """True iff the origin is a strictly positive convex combination."""
-    try:
-        return _origin_interior(*linalg.inverse_scaled(_lift(vertex_matrix)))
-    except SingularMatrixError:
-        return False
-
-
-def contains_origin_interior(S: LaplacianSimplex) -> bool:
-    return _origin_interior(*S.lifted_inverse_scaled)
-
-
 def facets(S: LaplacianSimplex):
-    """All n facets with exact dual vertices and primitive normals.
+    """All n facets, each with its primitive normal and local index.
 
     Column i of the adjugate A (lifted @ A == s * I) is (w, t) with
     v_j . w = -t for every vertex j != i, so the facet opposite vertex i is
@@ -213,8 +197,7 @@ def facets(S: LaplacianSimplex):
                 raise InternalInconsistencyError(
                     f"facet opposite vertex {i} does not support vertex {j}"
                 )
-        dual = tuple(Fraction(x, local_index) for x in normal)
-        out.append(FacetData(i, dual, normal, local_index))
+        out.append(FacetData(i, normal, local_index))
     return out
 
 
@@ -257,36 +240,3 @@ def cofactor_reflexivity_test(S: LaplacianSimplex) -> bool:
             if col_sum % kappa:
                 return False
     return True
-
-
-def _vertex_rows(obj) -> IntMatrix:
-    if isinstance(obj, LaplacianSimplex):
-        return obj.vertex_matrix
-    if isinstance(obj, IntMatrix):
-        return obj
-    return IntMatrix(obj)
-
-
-def verify_equivalence_certificate(S1, S2, U: IntMatrix, perm) -> bool:
-    """Check that row perm(i) of S2 equals row i of S1 times unimodular U.
-
-    ``perm`` maps 0-based row indices of S1 to row indices of S2.
-    """
-    M1, M2 = _vertex_rows(S1), _vertex_rows(S2)
-    if M1.shape != M2.shape or U.shape != (M1.ncols, M1.ncols):
-        raise ShapeError("incompatible shapes for equivalence certificate")
-    if sorted(perm) != list(range(M1.nrows)):
-        raise ShapeError("perm must be a permutation of the rows")
-    if not linalg.is_unimodular(U):
-        return False
-    mapped = (IntMatrix(M1.rows) @ U).rows
-    return all(mapped[i] == M2.rows[perm[i]] for i in range(M1.nrows))
-
-
-def canonical_tree_simplex(d: int) -> IntMatrix:
-    """Vertex matrix of the standard reflexive simplex conv(e_1..e_d, -1)."""
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
-    rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    rows.append([-1] * d)
-    return IntMatrix(rows)

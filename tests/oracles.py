@@ -3,14 +3,20 @@
 These use rational Gauss elimination, Laplace expansion, a memoised cone
 search, a dense change-of-basis product, the coordinates r M / q of each
 parallelepiped point and the odd-cycle kernel sum, methods the library
-itself no longer runs, so agreement is a real cross-check.
+itself no longer runs, so agreement is a real cross-check.  The helpers
+after them (matrix and row-vector products, unimodularity, the origin's
+barycentric coordinates from a fresh adjugate, the lattice points of the
+simplex, equivalence certificates, and ``mutant`` for the mutation tests)
+have no caller in the library and live here for the tests alone.
 """
 
+import inspect
+import textwrap
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from lapsim import ehrhart, linalg
+from lapsim import ehrhart, linalg, simplex as splx
 from lapsim.errors import DomainError, ShapeError, SingularMatrixError
 from lapsim.linalg import IntMatrix
 
@@ -28,7 +34,7 @@ def fpp_point(S, r):
     coordinate of the point is its height.
     """
     q = S.volume
-    coords = S.lifted.mul_row_vector(linalg.group_packing(q, S.n).unpack(r))
+    coords = mul_row_vector(linalg.group_packing(q, S.n).unpack(r), S.lifted)
     if any(x % q for x in coords):
         raise AssertionError(f"r M = {coords} is not divisible by q = {q}")
     return tuple(x // q for x in coords)
@@ -130,7 +136,7 @@ def idp_by_cone_search(S):
     sign = 1 if s > 0 else -1
 
     def in_cone(x, h):
-        return all(sign * v >= 0 for v in adj.mul_row_vector(x + (h,)))
+        return all(sign * v >= 0 for v in mul_row_vector(x + (h,), adj))
 
     memo = {}
 
@@ -150,3 +156,98 @@ def idp_by_cone_search(S):
         return memo[key]
 
     return all(decomposes(p[:-1], p[-1]) for p in pts if p[-1] >= 2)
+
+
+def transpose(M: IntMatrix) -> IntMatrix:
+    return IntMatrix(zip(*M.rows))
+
+
+def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """The dense product A B."""
+    if A.ncols != B.nrows:
+        raise ShapeError(f"cannot multiply {A.shape} by {B.shape}")
+    cols = transpose(B).rows
+    return IntMatrix([[sum(a * b for a, b in zip(r, c)) for c in cols] for r in A.rows])
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def mul_row_vector(v, M: IntMatrix):
+    """Row vector times M, exact (ints or Fractions)."""
+    if len(v) != M.nrows:
+        raise ShapeError("vector length does not match row count")
+    return tuple(sum(x * r[j] for x, r in zip(v, M.rows)) for j in range(M.ncols))
+
+
+def is_unimodular(M: IntMatrix) -> bool:
+    """True iff M is square with |det M| = 1."""
+    if not M.is_square:
+        raise ShapeError("unimodularity requires a square matrix")
+    return abs(linalg.determinant(M)) == 1
+
+
+def barycentric_of_origin(vertex_matrix: IntMatrix):
+    """Coefficients lam with lam . [M | 1] = (0,...,0,1), from its own adjugate."""
+    A, s = linalg.inverse_scaled(vertex_matrix.augment_column([1] * vertex_matrix.nrows))
+    return tuple(Fraction(x, s) for x in A.rows[-1])
+
+
+def origin_in_interior(vertex_matrix: IntMatrix) -> bool:
+    """True iff the origin is a strictly positive convex combination of the rows."""
+    try:
+        return all(c > 0 for c in barycentric_of_origin(vertex_matrix))
+    except SingularMatrixError:
+        return False
+
+
+def lattice_points(S):
+    """All lattice points of the simplex itself (dilate t = 1)."""
+    return sorted(ehrhart._scan_lattice_points(S, 1, ehrhart.DEFAULT_SCAN_CAP))
+
+
+def _vertex_rows(obj) -> IntMatrix:
+    if isinstance(obj, splx.LaplacianSimplex):
+        return obj.vertex_matrix
+    if isinstance(obj, IntMatrix):
+        return obj
+    return IntMatrix(obj)
+
+
+def verify_equivalence_certificate(S1, S2, U: IntMatrix, perm) -> bool:
+    """Check that row perm(i) of S2 equals row i of S1 times unimodular U.
+
+    ``perm`` maps 0-based row indices of S1 to row indices of S2.
+    """
+    M1, M2 = _vertex_rows(S1), _vertex_rows(S2)
+    if M1.shape != M2.shape or U.shape != (M1.ncols, M1.ncols):
+        raise ShapeError("incompatible shapes for equivalence certificate")
+    if sorted(perm) != list(range(M1.nrows)):
+        raise ShapeError("perm must be a permutation of the rows")
+    if not is_unimodular(U):
+        return False
+    mapped = matmul(M1, U).rows
+    return all(mapped[i] == M2.rows[perm[i]] for i in range(M1.nrows))
+
+
+def canonical_tree_simplex(d: int) -> IntMatrix:
+    """Vertex matrix of the standard reflexive simplex conv(e_1..e_d, -1)."""
+    if d < 1:
+        raise DomainError("dimension must be >= 1")
+    rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    rows.append([-1] * d)
+    return IntMatrix(rows)
+
+
+def mutant(fn, old, new):
+    """``fn`` recompiled from its source with ``old`` replaced by ``new``.
+
+    Used by the mutation tests: a check must fail once the code it guards is
+    broken on purpose.
+    """
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(src.replace(old, new), f"<mutant of {fn.__name__}>", "exec"), namespace)
+    return namespace[fn.__name__]

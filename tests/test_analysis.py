@@ -7,13 +7,13 @@ import pytest
 
 from lapsim import analysis, ehrhart, graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, FeasibilityError, InternalInconsistencyError
-from oracles import idp_by_cone_search
+from oracles import idp_by_cone_search, lattice_points
 
 
 def brute_is_idp(S, t_max=None):
     """IDP by direct sumset closure: every point of tS is a sum of t points."""
     t_max = t_max if t_max is not None else S.n - 1
-    base = set(ehrhart.lattice_points(S))
+    base = set(lattice_points(S))
     sums = set(base)
     for t in range(2, t_max + 1):
         sums = {tuple(a + b for a, b in zip(x, q)) for x in sums for q in base}

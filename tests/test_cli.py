@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from lapsim import cli
 from lapsim.errors import LapsimError
-from lapsim.graph import FAMILIES, Graph, family, write_edge_list
+from lapsim.graph import FAMILIES, MAX_N, Graph, family, write_edge_list
 
 
 def run(argv):
@@ -216,6 +219,62 @@ def test_parse_graph_spec_fuzz(spec):
     except (LapsimError, OSError):
         return
     assert isinstance(G, Graph)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "path", "--n", str(MAX_N // 2 + 1), "--whisker", "report"],
+        ["--family", "path", "--n", str(MAX_N // 2 + 1), "--bridge-with", f"path:{MAX_N // 2 + 1}"]
+        + ["report"],
+        ["--family", "path", "--n", "3", "--attach-path", f"1:{MAX_N - 2}", "report"],
+    ],
+)
+def test_operation_results_above_the_bound_exit_2(argv, capsys):
+    code, _ = run(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"above the largest supported n, {MAX_N}" in err
+    assert err.count("\n") == 1
+
+
+def test_edge_list_above_the_bound_exit_2(tmp_path, capsys):
+    # a path on MAX_N + 1 vertices: connected, refused right after its header
+    n = MAX_N + 1
+    path = tmp_path / "g.txt"
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(1, n)))
+    code, _ = run(["--edge-list", str(path), "report"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: edge-list size n = {n}") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    cli.build_parser.cache_clear()
+    argv = ["--family", "cycle", "--n", "6", "report"]
+    first = run(argv)
+    with pytest.raises(SystemExit) as exc:
+        run(["--family", "cycle", "--n", "6", "--no-such-flag", "report"])
+    assert exc.value.code == 2
+    assert run(argv) == first and first[0] == 0
+    # the environment is still read on every call
+    monkeypatch.setenv("LAPSIM_FPP_CAP", "1")
+    assert json.loads(run(argv)[1])["hstar"] is None
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_parser_is_not_built_at_import():
+    code = "import lapsim.cli as c; print(c.build_parser.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_cap_flag_softens_to_null_fields():

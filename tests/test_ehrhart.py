@@ -1,19 +1,24 @@
 """h*-vectors, parallelepiped enumeration, and dilate counting oracles."""
 
-import inspect
 import itertools
 import os
 import random
 import subprocess
 import sys
-import textwrap
 
 import pytest
 
 import lapsim
 from lapsim import analysis, ehrhart, graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, FeasibilityError, InternalInconsistencyError
-from oracles import fpp_point, hstar_cycle_by_kernel_sum, solve_exact
+from oracles import (
+    fpp_point,
+    hstar_cycle_by_kernel_sum,
+    lattice_points,
+    mutant,
+    solve_exact,
+    transpose,
+)
 
 
 def brute_fpp_heights(S):
@@ -29,7 +34,7 @@ def brute_fpp_heights(S):
     his = [sum(max(r[j], 0) for r in M.rows) for j in range(n)]
     counts = [0] * n
     for point in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        lam = solve_exact(M.transpose(), point)
+        lam = solve_exact(transpose(M), point)
         if all(0 <= c < 1 for c in lam):
             counts[point[-1]] += 1
     return counts
@@ -149,15 +154,6 @@ def test_walk_matches_complete_closed_form():
     for n in (5, 6):
         walked = ehrhart.hstar(splx.build(g.family("complete", n)), strategy="generic_snf")
         assert walked.entries == ehrhart.hstar_complete(n).entries
-
-
-def mutant(fn, old, new):
-    """``fn`` recompiled from its source with ``old`` replaced by ``new``."""
-    src = textwrap.dedent(inspect.getsource(fn))
-    assert src.count(old) == 1, old
-    namespace = dict(vars(inspect.getmodule(fn)))
-    exec(compile(src.replace(old, new), f"<mutant of {fn.__name__}>", "exec"), namespace)
-    return namespace[fn.__name__]
 
 
 # Each mutation breaks the packed walk; a check in fpp_list must catch it for
@@ -341,7 +337,7 @@ def test_count_dilate_points_t0_and_t1():
 
 def test_lattice_points_contain_vertices_and_origin():
     S = splx.build(g.family("cycle", 5))
-    pts = set(ehrhart.lattice_points(S))
+    pts = set(lattice_points(S))
     assert (0,) * S.dim in pts
     assert all(tuple(r) in pts for r in S.vertex_matrix.rows)
 

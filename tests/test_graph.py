@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lapsim import graph as g
 from lapsim.errors import DomainError, FeasibilityError, LapsimError
 from lapsim.graph import Graph
+from oracles import transpose
 
 
 def brute_spanning_tree_count(G):
@@ -89,8 +90,8 @@ def test_family_rejects_sizes_above_the_bound():
         g.family("complete", 10**9)
     assert exc.value.required == 10**9
     with pytest.raises(FeasibilityError):
-        g.family("path", g.MAX_FAMILY_N + 1)
-    assert g.family("star", g.MAX_FAMILY_N).n == g.MAX_FAMILY_N
+        g.family("path", g.MAX_N + 1)
+    assert g.family("star", g.MAX_N).n == g.MAX_N
 
 
 def test_random_tree_deterministic_per_seed():
@@ -115,8 +116,8 @@ def test_laplacian_structure():
     for G in (g.family("cycle", 5), g.family("complete", 4), g.family("path", 3)):
         L = g.laplacian(G)
         assert L.shape == (G.n, G.n)
-        assert L == L.transpose()
-        assert all(sum(L.row(i)) == 0 for i in range(G.n))
+        assert L == transpose(L)
+        assert all(sum(L.rows[i]) == 0 for i in range(G.n))
         assert all(L.rows[i][i] == G.degree(i + 1) for i in range(G.n))
 
 
@@ -244,9 +245,27 @@ def test_parse_errors():
 
 
 def test_parse_rejects_huge_header_without_edges():
+    # a size above the bound is refused right after the header
+    with pytest.raises(FeasibilityError) as exc:
+        g.parse_edge_list("1000000000 0\n")
+    assert exc.value.required == 10**9
     # too few edges to connect: rejected before one set per vertex is built
     with pytest.raises(DomainError, match="connected"):
-        g.parse_edge_list("1000000000 0\n")
+        g.parse_edge_list(f"{g.MAX_N} 0\n")
+
+
+def test_operations_reject_results_above_the_bound():
+    big = g.family("path", g.MAX_N // 2 + 1)
+    for make in (
+        lambda: g.whisker(big),
+        lambda: g.bridge(big, big, 1, 1),
+        lambda: g.attach_path(g.family("path", 3), 1, g.MAX_N - 2),
+    ):
+        with pytest.raises(FeasibilityError) as exc:
+            make()
+        assert exc.value.required > g.MAX_N
+    assert g.whisker(g.family("path", g.MAX_N // 2)).n <= g.MAX_N
+    assert g.attach_path(g.family("path", 3), 1, g.MAX_N - 3).n == g.MAX_N
 
 
 # mostly u < v inside [1, 5], sometimes any pair in [0, 6]

@@ -1,16 +1,29 @@
 """Exact linear algebra: determinants, adjugates, modular echelon bases."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapsim import linalg
-from lapsim.errors import DomainError, ShapeError, SingularMatrixError
+import lapsim
+from lapsim import graph as g, linalg, simplex as splx
+from lapsim.errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
 from lapsim.linalg import IntMatrix
-from oracles import determinant_by_cofactors, solve_exact
+from oracles import (
+    determinant_by_cofactors,
+    identity,
+    is_unimodular,
+    matmul,
+    mul_row_vector,
+    mutant,
+    solve_exact,
+    transpose,
+)
 
 
 def random_matrix(rng, n, m=None, lo=-5, hi=5):
@@ -24,10 +37,10 @@ def random_matrix(rng, n, m=None, lo=-5, hi=5):
 def test_matrix_shape_and_access():
     M = IntMatrix([[1, 2, 3], [4, 5, 6]])
     assert M.shape == (2, 3)
-    assert M.row(1) == (4, 5, 6)
+    assert M.rows[1] == (4, 5, 6)
     assert M.col(2) == (3, 6)
-    assert M.transpose().shape == (3, 2)
-    assert M.transpose().transpose() == M
+    assert transpose(M).shape == (3, 2)
+    assert transpose(transpose(M)) == M
 
 
 def test_matrix_rejects_ragged_and_empty():
@@ -45,10 +58,10 @@ def test_matrix_is_immutable():
 
 def test_matmul_and_identity():
     M = IntMatrix([[1, 2], [3, 4]])
-    I = IntMatrix.identity(2)
-    assert M @ I == M
-    assert I @ M == M
-    assert (M @ M).rows == ((7, 10), (15, 22))
+    I = identity(2)
+    assert matmul(M, I) == M
+    assert matmul(I, M) == M
+    assert matmul(M, M).rows == ((7, 10), (15, 22))
 
 
 def test_submatrix_and_augment():
@@ -61,8 +74,8 @@ def test_submatrix_and_augment():
 
 def test_mul_row_vector():
     M = IntMatrix([[1, 0], [0, 2], [3, 1]])
-    assert M.mul_row_vector([1, 1, 1]) == (4, 3)
-    assert M.mul_row_vector([Fraction(1, 2), 0, 0]) == (Fraction(1, 2), 0)
+    assert mul_row_vector([1, 1, 1], M) == (4, 3)
+    assert mul_row_vector([Fraction(1, 2), 0, 0], M) == (Fraction(1, 2), 0)
 
 
 # -- determinant -------------------------------------------------------------
@@ -72,7 +85,7 @@ def test_determinant_small_examples():
     assert linalg.determinant(IntMatrix([[7]])) == 7
     assert linalg.determinant(IntMatrix([[1, 2], [3, 4]])) == -2
     assert linalg.determinant(IntMatrix([[2, -1], [-1, 2]])) == 3
-    assert linalg.determinant(IntMatrix.identity(5)) == 1
+    assert linalg.determinant(identity(5)) == 1
 
 
 def test_determinant_singular():
@@ -96,7 +109,7 @@ def test_determinant_transpose_invariant():
     rng = random.Random(11)
     for _ in range(20):
         M = random_matrix(rng, 4)
-        assert linalg.determinant(M) == linalg.determinant(M.transpose())
+        assert linalg.determinant(M) == linalg.determinant(transpose(M))
 
 
 @settings(max_examples=50, deadline=None)
@@ -110,7 +123,7 @@ def test_determinant_transpose_invariant():
 )
 def test_determinant_multiplicative(a, b):
     A, B = IntMatrix(a), IntMatrix(b)
-    assert linalg.determinant(A @ B) == linalg.determinant(A) * linalg.determinant(B)
+    assert linalg.determinant(matmul(A, B)) == linalg.determinant(A) * linalg.determinant(B)
 
 
 def test_minor():
@@ -165,8 +178,8 @@ def test_inverse_scaled():
         assert s2 == s
         n = M.nrows
         scaled_identity = IntMatrix([[s if i == j else 0 for j in range(n)] for i in range(n)])
-        assert M @ A == scaled_identity
-        assert A @ M == scaled_identity
+        assert matmul(M, A) == scaled_identity
+        assert matmul(A, M) == scaled_identity
         done += 1
 
 
@@ -196,15 +209,141 @@ def test_inverse_scaled_matches_solve_oracle():
     assert singular >= 5
 
 
+def test_inverse_scaled_matches_solve_oracle_on_lifted_laplacians():
+    rng = random.Random(43)
+    for _ in range(20):
+        n = rng.randint(14, 22)
+        G = g.random_connected_graph(n, seed=rng.randrange(2**30), extra_edges=rng.randint(0, 3))
+        M = splx.build(G).lifted
+        A, s = linalg.inverse_scaled(M)
+        assert s == linalg.determinant(M) and abs(s) == n * g.spanning_tree_count(G)
+        # column j of A solves M x = s e_j; the last column gives the facets
+        for j in {0, rng.randrange(n), n - 1}:
+            assert A.col(j) == solve_exact(M, [s if i == j else 0 for i in range(n)])
+
+
+def test_inverse_scaled_with_row_swaps_and_singular_matrices():
+    rng = random.Random(47)
+    swapped = singular = 0
+    for _ in range(80):
+        n = rng.randint(2, 6)
+        # mostly zeros, so pivots are often zero and rows must be swapped
+        M = IntMatrix([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+        det = determinant_by_cofactors(M)
+        assert linalg.determinant(M) == det
+        if det == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                linalg.inverse_scaled(M)
+            continue
+        swapped += M.rows[0][0] == 0
+        A, s = linalg.inverse_scaled(M)
+        assert s == det
+        for j in range(n):
+            assert A.col(j) == solve_exact(M, [s if i == j else 0 for i in range(n)])
+    assert swapped >= 10 and singular >= 10
+
+
+# Each mutation breaks the elimination; the adjugate check M @ A == s * I
+# inside inverse_scaled must catch it.  Dropping the sign only from A is the
+# form of a lost swap sign that the check can see: dropping the sign flip
+# itself returns the consistent pair (-adj M, -det M).
+# Both need a row swap and keep a zero-multiplier row stale to the end.
+SWAP_MATRICES = (
+    IntMatrix([[2, 0, 1], [1, 0, -1], [0, -1, 0]]),
+    IntMatrix([[2, -1, 0, 0], [1, 1, 0, 2], [0, 2, 0, 0], [2, -1, 1, 0]]),
+)
+LIFTED = tuple(
+    splx.build(g.random_connected_graph(7, seed=seed, extra_edges=2)).lifted for seed in (0, 3)
+)
+INVERSE_MUTATIONS = {
+    "zero-multiplier row left unscaled when next used": (
+        linalg.inverse_scaled,
+        "row[k:] = [x * prev // b for x in row[k:]]",
+        "pass",
+        SWAP_MATRICES + LIFTED,
+    ),
+    "pivot row left unscaled": (
+        linalg.inverse_scaled,
+        "pk[k:] = [x * prev // b for x in pk[k:]]",
+        "pass",
+        SWAP_MATRICES + LIFTED,
+    ),
+    # a lifted matrix ends in a column of ones, so its last step brings
+    # every row up to date and no row is stale at the end
+    "zero-multiplier row left unscaled at the end": (
+        linalg.inverse_scaled,
+        "[sign * x * prev // b for x in row[n:]]",
+        "[sign * x for x in row[n:]]",
+        SWAP_MATRICES,
+    ),
+    "scale not swapped with its row": (
+        linalg.inverse_scaled,
+        "scale[k], scale[piv] = scale[piv], scale[k]",
+        "pass",
+        SWAP_MATRICES,
+    ),
+    "live columns start one column late": (
+        linalg.inverse_scaled,
+        "live = slice(k + 1, None)",
+        "live = slice(k + 2, None)",
+        SWAP_MATRICES + LIFTED,
+    ),
+    "swap sign dropped from the adjugate": (
+        linalg.inverse_scaled,
+        "[sign * x * prev // b for x in row[n:]]",
+        "[x * prev // b for x in row[n:]]",
+        SWAP_MATRICES,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(INVERSE_MUTATIONS))
+def test_inverse_mutations_are_caught(monkeypatch, mutation):
+    fn, old, new, matrices = INVERSE_MUTATIONS[mutation]
+    for M in matrices:
+        linalg.inverse_scaled(M)  # the real elimination passes its own check
+    monkeypatch.setattr(linalg, fn.__name__, mutant(fn, old, new))
+    for M in matrices:
+        with pytest.raises(InternalInconsistencyError, match="adjugate check"):
+            linalg.inverse_scaled(M)
+
+
+def test_adjugate_check_raises_under_optimize():
+    # the check is a raise, not an assert, so python -O keeps it
+    code = (
+        "import inspect, textwrap\n"
+        "from lapsim import linalg\n"
+        "from lapsim.errors import InternalInconsistencyError\n"
+        "src = textwrap.dedent(inspect.getsource(linalg.inverse_scaled))\n"
+        "src = src.replace('[sign * x * prev // b for', '[x * prev // b for')\n"
+        "exec(src, vars(linalg))\n"
+        "try:\n"
+        "    linalg.inverse_scaled(linalg.IntMatrix([[0, 1], [1, 0]]))\n"
+        "except InternalInconsistencyError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lapsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: adjugate check"), proc.stdout
+
+
 # -- unimodularity and primitivity -------------------------------------------
 
 
 def test_is_unimodular():
-    assert linalg.is_unimodular(IntMatrix.identity(3))
-    assert linalg.is_unimodular(IntMatrix([[1, 5], [0, -1]]))
-    assert not linalg.is_unimodular(IntMatrix([[2, 0], [0, 1]]))
+    assert is_unimodular(identity(3))
+    assert is_unimodular(IntMatrix([[1, 5], [0, -1]]))
+    assert not is_unimodular(IntMatrix([[2, 0], [0, 1]]))
     with pytest.raises(ShapeError):
-        linalg.is_unimodular(IntMatrix([[1, 0]]))
+        is_unimodular(IntMatrix([[1, 0]]))
 
 
 def test_is_primitive():

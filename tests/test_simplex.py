@@ -12,7 +12,18 @@ import lapsim
 from lapsim import graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, ShapeError
 from lapsim.linalg import IntMatrix
-from oracles import basis_change_matrix, facets_by_solves, solve_exact
+from oracles import (
+    barycentric_of_origin,
+    basis_change_matrix,
+    canonical_tree_simplex,
+    facets_by_solves,
+    identity,
+    is_unimodular,
+    matmul,
+    origin_in_interior,
+    solve_exact,
+    verify_equivalence_certificate,
+)
 
 
 def test_basis_change_matrix():
@@ -25,7 +36,7 @@ def test_build_matches_basis_change_product():
     rng = random.Random(31)
     for _ in range(25):
         G = g.random_connected_graph(rng.randint(2, 12), seed=rng.randrange(2**30))
-        assert splx.build(G).vertex_matrix == g.laplacian(G) @ basis_change_matrix(G.n), G
+        assert splx.build(G).vertex_matrix == matmul(g.laplacian(G), basis_change_matrix(G.n)), G
 
 
 def test_build_c5_vertex_matrix():
@@ -90,21 +101,21 @@ def test_origin_always_interior():
     for G in (g.family("path", 2), g.family("cycle", 6), g.family("complete", 5)):
         S = splx.build(G)
         assert splx.contains_origin_interior(S)
-        lam = splx.barycentric_of_origin(S.vertex_matrix)
+        lam = barycentric_of_origin(S.vertex_matrix)
         assert lam == (F(1, S.n),) * S.n
 
 
 def test_origin_not_interior_after_shift():
-    M = splx.canonical_tree_simplex(2)
+    M = canonical_tree_simplex(2)
     shifted = IntMatrix([[x + 5 * (j == 0) for j, x in enumerate(r)] for r in M.rows])
-    assert not splx.origin_in_interior(shifted)
+    assert not origin_in_interior(shifted)
     # origin on an edge: barycentric coordinates (1/2, 1/2, 0), not interior
-    assert not splx.origin_in_interior(IntMatrix([[-1, 0], [1, 0], [0, 1]]))
+    assert not origin_in_interior(IntMatrix([[-1, 0], [1, 0], [0, 1]]))
 
 
 def test_origin_in_interior_singular_matrix():
     flat = IntMatrix([[0, 0], [1, 0], [2, 0]])  # degenerate, lifted singular
-    assert not splx.origin_in_interior(flat)
+    assert not origin_in_interior(flat)
 
 
 # -- facets ------------------------------------------------------------------
@@ -118,7 +129,7 @@ def facet_invariants(S):
         assert f.local_index >= 1
         assert linalg.is_primitive(f.normal)
         for j in range(S.n):
-            val = sum(a * x for a, x in zip(f.normal, S.vertex_matrix.row(j)))
+            val = sum(a * x for a, x in zip(f.normal, S.vertex_matrix.rows[j]))
             if j == f.opposite:
                 assert val < f.local_index
             else:
@@ -147,6 +158,18 @@ def test_facets_match_per_facet_solves():
         S = splx.build(G)
         got = [(f.opposite, f.dual_vertex, f.normal, f.local_index) for f in splx.facets(S)]
         assert got == facets_by_solves(S.vertex_matrix)
+
+
+def test_is_lattice_vertex_matches_the_fraction_definition():
+    rng = random.Random(53)
+    seen = set()
+    for k in range(40):
+        G = g.random_connected_graph(rng.randint(2, 9), seed=900 + k)
+        for f in splx.facets(splx.build(G)):
+            integral = all(c.denominator == 1 for c in f.dual_vertex)
+            assert f.is_lattice_vertex == integral, (G, f)
+            seen.add(integral)
+    assert seen == {True, False}
 
 
 def test_facets_computed_once_per_simplex(monkeypatch):
@@ -218,42 +241,42 @@ def test_c4_rotation_certificate():
     S = splx.build(g.family("cycle", 4))
     perm = [1, 2, 3, 0]
     U = rotation_certificate(S, perm)
-    assert linalg.is_unimodular(U)
-    assert splx.verify_equivalence_certificate(S, S, U, perm)
+    assert is_unimodular(U)
+    assert verify_equivalence_certificate(S, S, U, perm)
 
 
 def test_certificate_identity_and_rejections():
     S = splx.build(g.family("cycle", 3))
-    I = IntMatrix.identity(2)
-    assert splx.verify_equivalence_certificate(S, S, I, [0, 1, 2])
-    assert not splx.verify_equivalence_certificate(S, S, I, [1, 2, 0])
-    assert not splx.verify_equivalence_certificate(
+    I = identity(2)
+    assert verify_equivalence_certificate(S, S, I, [0, 1, 2])
+    assert not verify_equivalence_certificate(S, S, I, [1, 2, 0])
+    assert not verify_equivalence_certificate(
         S, S, IntMatrix([[2, 0], [0, 1]]), [0, 1, 2]
     )
     with pytest.raises(ShapeError):
-        splx.verify_equivalence_certificate(S, S, I, [0, 0, 1])
+        verify_equivalence_certificate(S, S, I, [0, 0, 1])
     with pytest.raises(ShapeError):
-        splx.verify_equivalence_certificate(S, S, IntMatrix.identity(3), [0, 1, 2])
+        verify_equivalence_certificate(S, S, identity(3), [0, 1, 2])
 
 
 def test_certificate_accepts_raw_row_lists():
     M1 = [[1, 0], [0, 1], [-1, -1]]
     U = IntMatrix([[0, 1], [1, 0]])
     M2 = [[0, 1], [1, 0], [-1, -1]]
-    assert splx.verify_equivalence_certificate(M1, M2, U, [0, 1, 2])
+    assert verify_equivalence_certificate(M1, M2, U, [0, 1, 2])
 
 
 def test_canonical_tree_simplex():
-    M = splx.canonical_tree_simplex(3)
+    M = canonical_tree_simplex(3)
     assert M.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
-    assert splx.origin_in_interior(M)
+    assert origin_in_interior(M)
     with pytest.raises(DomainError):
-        splx.canonical_tree_simplex(0)
+        canonical_tree_simplex(0)
 
 
 def test_tree_simplex_equivalent_to_canonical():
     # the path simplex has the same volume and reflexivity as the canonical one
     S = splx.build(g.family("path", 4))
-    C = splx.canonical_tree_simplex(3)
+    C = canonical_tree_simplex(3)
     assert S.volume == abs(linalg.determinant(C.augment_column([1] * 4)))
     assert splx.is_reflexive(S)
