@@ -15,9 +15,12 @@ from .errors import DomainError, FeasibilityError, InternalInconsistencyError
 from .linalg import IntMatrix
 
 FAMILIES = ("path", "cycle", "complete", "star", "random_tree")
-# The largest n of a graph from ``family``, ``parse_edge_list`` or an operation:
-# each report runs an O(n^3) adjugate, 7-26 s at n = 500 for a path, star or
-# random tree on a 2-vCPU host, and more for dense graphs (K_300: 3 minutes).
+# The largest n of a graph from ``family``, ``parse_edge_list``, ``whisker``,
+# ``bridge`` and ``attach_path``; ``leaf_move`` keeps n, and ``attach_tree``
+# and ``random_connected_graph`` are not checked.  Each report runs an O(n^3)
+# adjugate, 7-26 s at n = 500 for a path, star or random tree on a 2-vCPU host;
+# dense graphs take longer (K_300: 3 minutes), so the bound does not keep every
+# admitted graph fast.
 MAX_N = 500
 
 

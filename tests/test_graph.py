@@ -252,6 +252,8 @@ def test_parse_rejects_huge_header_without_edges():
     # too few edges to connect: rejected before one set per vertex is built
     with pytest.raises(DomainError, match="connected"):
         g.parse_edge_list(f"{g.MAX_N} 0\n")
+    with pytest.raises(DomainError, match="connected"):
+        Graph(10**9, [])
 
 
 def test_operations_reject_results_above_the_bound():
