@@ -8,15 +8,18 @@ element kept as one packed int with its height, and caches and checks the
 walk (``LaplacianSimplex.fpp_list``); ``fpp_points``
 checks the one size cap on that walk and then yields from the cache, so the
 h* histogram and the IDP decision share one walk.  Closed forms cover trees,
-odd cycles, and complete graphs, and a dilate-counting scan over the facet
-description provides an independent oracle.
+odd cycles, and complete graphs.  An independent oracle counts the lattice
+points of each dilate from the facet description alone, never from the
+walk: Fourier-Motzkin elimination pruned by Chernikov's rule bounds the
+coordinates, scanned narrowest first, and the widest coordinate is counted
+as one interval per prefix instead of point by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import comb, gcd
+from operator import mul
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
 from .simplex import LaplacianSimplex
@@ -189,12 +192,12 @@ def hstar_from_counts(counts) -> HStarVector:
     return HStarVector(tuple(entries), "dilate_interpolation")
 
 
-# -- exact dilate-point scan (oracle path) -----------------------------------
+# -- exact dilate-point count (oracle path) ----------------------------------
 
 
 def _normalize_ineq(coeffs, rhs):
     """Tighten c.x <= r over the integers; None means trivially true."""
-    g = reduce(gcd, coeffs, 0)
+    g = gcd(*coeffs)
     if g == 0:
         if rhs < 0:
             raise _Infeasible
@@ -206,91 +209,154 @@ class _Infeasible(Exception):
     pass
 
 
-def _fm_eliminate(ineqs):
-    """Fourier-Motzkin elimination of the last variable."""
-    pos, neg, rest = [], [], []
-    for c, r in ineqs:
-        if c[-1] > 0:
-            pos.append((c, r))
-        elif c[-1] < 0:
-            neg.append((c, r))
-        else:
-            rest.append((c[:-1], r))
-    out = set()
-    for c, r in rest:
+def _fm_eliminate(ineqs, k):
+    """Fourier-Motzkin elimination of the last variable, the k-th one eliminated.
+
+    Each inequality is (coeffs, rhs, mask), where the mask holds the facets
+    whose nonnegative combination gives its coefficients.  Chernikov's rule
+    ("The convolution of finite systems of linear inequalities", 1965) drops
+    every combination of more than k + 1 facets, after the ``_Infeasible``
+    check.  The multipliers lambda >= 0 that cancel k variables form a
+    pointed cone whose extreme rays have at most k + 1 nonzero entries, and
+    Chernikov showed that the rule keeps an inequality for each of them; so
+    over the reals every dropped inequality is implied by the kept ones.
+    Rounding a right-hand side down over the integers (``_normalize_ineq``)
+    only tightens a kept inequality, and each one still holds at every
+    lattice point of the dilate.  So every system is a valid relaxation of
+    the projected lattice points, and it stays bounded, since boundedness
+    depends on the coefficients alone.  A count can never depend on the
+    rule: a system that lost a bound makes ``_scan_intervals`` raise.  Of
+    the inequalities with equal coefficients and equal masks only the
+    smallest right-hand side is kept.
+    """
+    pos, neg, out = [], [], {}
+
+    def keep(c, r, mask):
         norm = _normalize_ineq(c, r)
-        if norm:
-            out.add(norm)
-    for cp, rp in pos:
-        for cn, rn in neg:
+        if norm is None or mask.bit_count() > k + 1:
+            return
+        key = (norm[0], mask)
+        out[key] = min(norm[1], out.get(key, norm[1]))
+
+    for c, r, mask in ineqs:
+        if c[-1] > 0:
+            pos.append((c, r, mask))
+        elif c[-1] < 0:
+            neg.append((c, r, mask))
+        else:
+            keep(c[:-1], r, mask)
+    for cp, rp, mp in pos:
+        for cn, rn, mn in neg:
             a, b = cp[-1], -cn[-1]
             c = tuple(b * x + a * y for x, y in zip(cp[:-1], cn[:-1]))
-            norm = _normalize_ineq(c, b * rp + a * rn)
-            if norm:
-                out.add(norm)
-    return sorted(out)
+            keep(c, b * rp + a * rn, mp | mn)
+    return [(c, r, mask) for (c, mask), r in out.items()]
 
 
-def _scan_lattice_points(S: LaplacianSimplex, t: int, cap: int):
-    """Yield all lattice points of the t-th dilate.
+def _scan_order(S: LaplacianSimplex):
+    """The coordinates by the width of the vertices' range, narrowest first.
 
-    Works from the facet description a_i . x <= t * c_i alone, scanning
-    coordinates left to right with exact per-prefix bounds obtained by
-    Fourier-Motzkin elimination.
+    A permutation of the coordinates is unimodular, so it keeps every count.
+    """
+    cols = list(zip(*S.vertex_matrix.rows))
+    return sorted(range(S.dim), key=lambda j: max(cols[j]) - min(cols[j]))
+
+
+def _fm_systems(S: LaplacianSimplex, t: int):
+    """The Fourier-Motzkin systems of the t-th dilate in ``_scan_order``.
+
+    systems[k] has k eliminations behind it and bounds the first d - k
+    coordinates; systems[0] is the facet description a_i . x <= t * c_i,
+    with facet i as mask bit i.  None if a system is infeasible.
+    """
+    order = _scan_order(S)
+    system = []
+    for i, f in enumerate(S.facet_list):
+        norm = _normalize_ineq([f.normal[j] for j in order], t * f.local_index)
+        if norm:
+            system.append((*norm, 1 << i))
+    systems = [system]
+    try:
+        for k in range(1, S.dim):
+            systems.append(_fm_eliminate(systems[-1], k))
+    except _Infeasible:
+        return None
+    return systems
+
+
+def _scan_intervals(S: LaplacianSimplex, t: int, cap: int):
+    """Yield (prefix, lo, hi) for the lattice points of the t-th dilate.
+
+    Works from the facet description alone, through ``_fm_systems``, with
+    the coordinates in ``_scan_order``.  The points with a given prefix of
+    the first d - 1 coordinates are those whose last coordinate lies in
+    [lo, hi]; only nonempty intervals are yielded.  One depth-first scan with
+    an explicit stack fixes the coordinates left to right, coordinate j
+    within ceil(s / a) <= x_j <= floor(s / a), s = r - c . prefix, for each
+    inequality of the system that bounds it.  When a coordinate's range is
+    opened, the fixed part of the prefix is folded into each s of the next
+    coordinate, so a candidate costs one product per inequality.  These
+    bounds are valid but need not be tight, so a prefix may have no point;
+    the last coordinate is bounded by the full facet system, which decides
+    exactly.  Each candidate of an earlier coordinate counts 1 towards
+    ``cap``, and each interval its length.
     """
     if t < 0:
         raise DomainError("dilate factor must be nonnegative")
-    d = S.dim
-    base = []
-    for f in S.facet_list:
-        norm = _normalize_ineq(f.normal, t * f.local_index)
-        if norm:
-            base.append(norm)
-    systems = [None] * (d + 1)
-    systems[d] = sorted(set(base))
-    try:
-        for k in range(d, 1, -1):
-            systems[k - 1] = _fm_eliminate(systems[k])
-    except _Infeasible:
+    systems = _fm_systems(S, t)
+    if systems is None:
         return
-    visited = 0
-    prefix = [0] * d
-
-    def bounds(level, pfx):
-        lo, hi = None, None
-        for c, r in systems[level]:
-            a = c[-1]
-            if a == 0:
-                continue  # enforced at a lower level
-            s = r - sum(ci * xi for ci, xi in zip(c, pfx))
-            if a > 0:
-                v = s // a
-                hi = v if hi is None else min(hi, v)
-            else:
-                v = -(s // -a)  # ceil(s / a) for a < 0
-                lo = v if lo is None else max(lo, v)
-        return lo, hi
-
-    def rec(level):
-        nonlocal visited
-        lo, hi = bounds(level, prefix[: level - 1])
-        if lo is None or hi is None:
+    # the inequalities that bound x_j from below and from above, as
+    # (coefficients of x_0..x_{j-2}, coefficient of x_{j-1}, r, |c_j|);
+    # x_0 has no prefix, and only r and |c_0| are read for it
+    lowers, uppers = [], []
+    for j, ineqs in enumerate(reversed(systems)):
+        lowers.append([(c[: j - 1], c[j - 1], r, -c[j]) for c, r, _ in ineqs if c[j] < 0])
+        uppers.append([(c[: j - 1], c[j - 1], r, c[j]) for c, r, _ in ineqs if c[j] > 0])
+        if not lowers[j] or not uppers[j]:
             raise InternalInconsistencyError("dilate scan region is unbounded")
-        for x in range(lo, hi + 1):
-            visited += 1
-            if visited > cap:
-                raise FeasibilityError(
-                    f"dilate scan exceeded cap of {cap} candidates", required=visited
-                )
-            prefix[level - 1] = x
-            if level == d:
-                yield tuple(prefix)
-            else:
-                yield from rec(level + 1)
+    last = S.dim - 1
+    prefix = [0] * last
+    visited = 0
 
-    yield from rec(1)
+    def charge(k):
+        nonlocal visited
+        visited += k
+        if visited > cap:
+            raise FeasibilityError(
+                f"dilate scan exceeded cap of {cap} candidates", required=visited
+            )
+
+    lo = max(-(r // a) for *_, r, a in lowers[0])
+    hi = min(r // a for *_, r, a in uppers[0])
+    stack = []  # per open coordinate j: its values left, coordinate j + 1 folded
+    while True:
+        j = len(stack)  # coordinates 0..j - 1 are fixed, and [lo, hi] bounds x_j
+        if lo <= hi:
+            charge(hi - lo + 1)
+            if j == last:
+                yield tuple(prefix), lo, hi
+            else:
+                stack.append(
+                    (
+                        iter(range(lo, hi + 1)),
+                        [(r - sum(map(mul, c, prefix)), b, a) for c, b, r, a in lowers[j + 1]],
+                        [(r - sum(map(mul, c, prefix)), b, a) for c, b, r, a in uppers[j + 1]],
+                    )
+                )
+        while stack and (x := next(stack[-1][0], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        _, folded_lo, folded_hi = stack[-1]
+        prefix[len(stack) - 1] = x
+        lo = max([-((s - b * x) // a) for s, b, a in folded_lo])
+        hi = min([(s - b * x) // a for s, b, a in folded_hi])
 
 
 def count_dilate_points(S: LaplacianSimplex, t: int, cap: int = DEFAULT_SCAN_CAP) -> int:
-    """Exact |tS intersect Z^d| by direct enumeration; independent oracle."""
-    return sum(1 for _ in _scan_lattice_points(S, t, cap))
+    """Exact |tS intersect Z^d|, summed over the scan's intervals; independent oracle.
+
+    Uses only the facet description, never the parallelepiped walk.
+    """
+    return sum(hi - lo + 1 for _, lo, hi in _scan_intervals(S, t, cap))

@@ -124,13 +124,16 @@ def laplacian(G: Graph) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def spanning_tree_count(G: Graph) -> int:
-    """Spanning trees as the (1,1) cofactor of L, which the volume is checked against."""
+def spanning_tree_count(G: Graph, L: IntMatrix | None = None) -> int:
+    """Spanning trees as the (1,1) cofactor of L, which the volume is checked against.
+
+    ``L`` is G's Laplacian, if the caller has already built it.
+    """
     if G.n == 1:
         return 1
     from .linalg import determinant
 
-    kappa = determinant(laplacian(G).submatrix([0], [0]))
+    kappa = determinant((laplacian(G) if L is None else L).submatrix([0], [0]))
     if kappa < 1:
         raise InternalInconsistencyError(f"connected graph with {kappa} spanning trees")
     return kappa

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
+from .errors import DomainError, InternalInconsistencyError, ShapeError
 from . import linalg
 from .linalg import IntMatrix
 from .graph import Graph, laplacian, spanning_tree_count
@@ -148,14 +148,14 @@ def build(G: Graph) -> LaplacianSimplex:
         raise DomainError("Laplacian simplex needs n >= 2")
     # L_B = L times the upper triangular 0/1 matrix: L_B[i][j] is the sum of
     # L[i][k] over k <= j, for j < n - 1
+    L = laplacian(G)
     rows = []
-    for row in laplacian(G).rows:
+    for row in L.rows:
         total = 0
         rows.append([total := total + x for x in row[:-1]])
-    LB = IntMatrix(rows)
-    if any(sum(LB.col(j)) for j in range(LB.ncols)):
+    if any(map(sum, zip(*rows))):
         raise InternalInconsistencyError("a column of L_B does not sum to zero")
-    return LaplacianSimplex(G, LB, spanning_tree_count(G))
+    return LaplacianSimplex(G, IntMatrix(rows), spanning_tree_count(G, L))
 
 
 def normalized_volume(S: LaplacianSimplex) -> int:
@@ -168,54 +168,65 @@ def normalized_volume(S: LaplacianSimplex) -> int:
     return vol
 
 
-def contains_origin_interior(S: LaplacianSimplex) -> bool:
-    # the origin's barycentric coordinates are the last row of A over s
-    A, s = S.lifted_inverse_scaled
-    return all(x * s > 0 for x in A.rows[-1])
-
-
 def facets(S: LaplacianSimplex):
     """All n facets, each with its primitive normal and local index.
 
-    Column i of the adjugate A (lifted @ A == s * I) is (w, t) with
-    v_j . w = -t for every vertex j != i, so the facet opposite vertex i is
-    normal . x = |t| / g with g = gcd(w) and normal = -sign(t) * w / g.
+    Column i of the adjugate A (lifted @ A == s * I, checked by
+    ``linalg.inverse_scaled``) is (w, t) with v_j . w = -t for every vertex
+    j != i and v_i . w = s - t.  The facet opposite vertex i is
+    normal . x = local_index with g = gcd(w), normal = -sign(t) * w / g and
+    local_index = |t| / g.  One O(n) check for the simplex and four per
+    facet replace a support check over all n^2 vertex-facet pairs:
+
+    - every entry t of the last row of A is s / n, because the columns of
+      L_B sum to zero: the origin is the centroid, so sign(t) = sign(s);
+    - g * normal = -sign(s) * w and g * local_index = |t|;
+    - gcd(normal) = 1;
+    - g * (normal . v_i) = |t| - |s|, which ties the facet to its vertex.
+
+    Then normal . v_j = -sign(s) * (-t) / g = local_index for j != i, and
+    normal . v_i = local_index - |s| / g < local_index: the hyperplane
+    supports every vertex but v_i, which lies strictly inside, and the
+    normal is primitive.  Each check raises ``InternalInconsistencyError``,
+    also under python -O.
     """
-    A, _ = S.lifted_inverse_scaled
+    A, s = S.lifted_inverse_scaled
+    n = S.n
+    if any(n * t != s for t in A.rows[-1]):
+        raise InternalInconsistencyError("the origin is not the centroid of the vertices")
+    sign = 1 if s > 0 else -1
     rows = S.vertex_matrix.rows
     out = []
     for i, (*w, t) in enumerate(zip(*A.rows)):
-        if t == 0:
-            raise SingularMatrixError(f"the facet opposite vertex {i} contains the origin")
         g = gcd(*w)
         normal = tuple((x if t < 0 else -x) // g for x in w)
         local_index = abs(t) // g
-        # the facet supports every vertex row except row i
-        for j, row in enumerate(rows):
-            val = sum(map(mul, normal, row))
-            if not (val < local_index if j == i else val == local_index):
-                raise InternalInconsistencyError(
-                    f"facet opposite vertex {i} does not support vertex {j}"
-                )
+        if (
+            g * local_index != abs(t)
+            or gcd(*normal) != 1
+            or any(g * a != -sign * x for a, x in zip(normal, w))
+            or g * sum(map(mul, normal, rows[i])) != abs(t) - abs(s)
+        ):
+            raise InternalInconsistencyError(f"facet opposite vertex {i} fails its checks")
         out.append(FacetData(i, normal, local_index))
     return out
 
 
 def is_reflexive(S: LaplacianSimplex) -> bool:
-    """True iff the origin is interior and every dual vertex is integral."""
-    if not contains_origin_interior(S):
-        return False
+    """True iff every dual vertex is integral.
+
+    The origin is always interior: ``facets`` checks that it is the
+    centroid of the vertices.
+    """
     return all(f.is_lattice_vertex for f in S.facet_list)
 
 
 def ell_reflexive_index(S: LaplacianSimplex):
     """The common facet local index ell, or None.
 
-    Requires the origin strictly interior, every vertex row primitive, and
-    all facet local indices equal.
+    Requires every vertex row primitive and all facet local indices equal;
+    the origin is interior, as ``facets`` checks.
     """
-    if not contains_origin_interior(S):
-        return None
     if not all(linalg.is_primitive(r) for r in S.vertex_matrix.rows):
         return None
     indices = {f.local_index for f in S.facet_list}

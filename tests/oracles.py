@@ -2,19 +2,23 @@
 
 These use rational Gauss elimination, Laplace expansion, a memoised cone
 search, a dense change-of-basis product, the coordinates r M / q of each
-parallelepiped point and the odd-cycle kernel sum, methods the library
-itself no longer runs, so agreement is a real cross-check.  The helpers
-after them (matrix and row-vector products, unimodularity, the origin's
-barycentric coordinates from a fresh adjugate, the lattice points of the
-simplex, equivalence certificates, and ``mutant`` for the mutation tests)
-have no caller in the library and live here for the tests alone.
+parallelepiped point, the odd-cycle kernel sum and a box scan of each
+dilate, methods the library itself does not run, so agreement is a real
+cross-check.  The helpers after them (matrix and row-vector products,
+unimodularity, the origin's barycentric coordinates from a fresh adjugate,
+the lattice points of a dilate from the dilate scan's intervals,
+equivalence certificates, and ``mutant`` and ``broken_facets`` for the
+mutation tests) have no caller in the library and live here for the tests
+alone.
 """
 
 import inspect
+import itertools
 import textwrap
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
 from lapsim import ehrhart, linalg, simplex as splx
 from lapsim.errors import DomainError, ShapeError, SingularMatrixError
@@ -56,6 +60,22 @@ def hstar_cycle_by_kernel_sum(n: int):
                 raise AssertionError(f"kernel sum {total} is not divisible by {n}")
             counts[total // n] += 1
     return tuple(counts)
+
+
+def dilate_points_by_box(S, t):
+    """The lattice points of the t-th dilate by testing a whole box, sorted.
+
+    Every integer point of the bounding box of the dilated vertices is
+    tested against every facet inequality normal . x <= t * local_index; no
+    elimination, ordering or interval is involved.
+    """
+    box = [range(t * min(c), t * max(c) + 1) for c in zip(*S.vertex_matrix.rows)]
+    facets = [(f.normal, t * f.local_index) for f in S.facet_list]
+    return [
+        x
+        for x in itertools.product(*box)
+        if all(sum(map(mul, normal, x)) <= rhs for normal, rhs in facets)
+    ]
 
 
 def solve_exact(M: IntMatrix, b):
@@ -202,9 +222,26 @@ def origin_in_interior(vertex_matrix: IntMatrix) -> bool:
         return False
 
 
+def dilate_points(S, t):
+    """All lattice points of the t-th dilate, sorted, from the dilate scan.
+
+    Expands each interval of ``ehrhart._scan_intervals`` and writes every
+    point back in the simplex's own coordinates, undoing ``_scan_order``.
+    """
+    order = ehrhart._scan_order(S)
+    out = []
+    for prefix, lo, hi in ehrhart._scan_intervals(S, t, ehrhart.DEFAULT_SCAN_CAP):
+        for x in range(lo, hi + 1):
+            point = [0] * S.dim
+            for j, v in zip(order, prefix + (x,)):
+                point[j] = v
+            out.append(tuple(point))
+    return sorted(out)
+
+
 def lattice_points(S):
     """All lattice points of the simplex itself (dilate t = 1)."""
-    return sorted(ehrhart._scan_lattice_points(S, 1, ehrhart.DEFAULT_SCAN_CAP))
+    return dilate_points(S, 1)
 
 
 def _vertex_rows(obj) -> IntMatrix:
@@ -251,3 +288,21 @@ def mutant(fn, old, new):
     namespace = dict(vars(inspect.getmodule(fn)))
     exec(compile(src.replace(old, new), f"<mutant of {fn.__name__}>", "exec"), namespace)
     return namespace[fn.__name__]
+
+
+def broken_facets():
+    """(name, facets function) for each break that the facet checks must catch."""
+    yield "wrong sign", mutant(splx.facets, "(x if t < 0 else -x) // g", "(-x if t < 0 else x) // g")
+    yield "wrong gcd", mutant(splx.facets, "g = gcd(*w)", "g = 1")
+    yield "column from the wrong index", mutant(
+        splx.facets, "enumerate(zip(*A.rows))", "enumerate(reversed(list(zip(*A.rows))))"
+    )
+
+    def corrupted_last_row(S):
+        A, s = S.lifted_inverse_scaled
+        rows = [list(r) for r in A.rows]
+        rows[-1][0] = -rows[-1][0]
+        S.lifted_inverse_scaled = (IntMatrix(rows), s)
+        return splx.facets(S)
+
+    yield "corrupted last row", corrupted_last_row

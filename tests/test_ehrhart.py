@@ -12,6 +12,8 @@ import lapsim
 from lapsim import analysis, ehrhart, graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, FeasibilityError, InternalInconsistencyError
 from oracles import (
+    dilate_points,
+    dilate_points_by_box,
     fpp_point,
     hstar_cycle_by_kernel_sum,
     lattice_points,
@@ -346,6 +348,91 @@ def test_dilate_scan_cap():
     S = splx.build(g.family("cycle", 5))
     with pytest.raises(FeasibilityError):
         ehrhart.count_dilate_points(S, 3, cap=5)
+
+
+def check_scan_against_box(S, t):
+    """The dilate scan agrees with the box scan, point for point."""
+    box = dilate_points_by_box(S, t)
+    intervals = list(ehrhart._scan_intervals(S, t, ehrhart.DEFAULT_SCAN_CAP))
+    assert all(lo <= hi for _, lo, hi in intervals), "an empty interval was yielded"
+    assert ehrhart.count_dilate_points(S, t) == len(box)
+    assert dilate_points(S, t) == box
+
+
+def scan_cases(count, seed):
+    rng = random.Random(seed)
+    for k in range(count):
+        G = g.random_connected_graph(3 + k % 3, seed=rng.randrange(2**30), extra_edges=k % 3)
+        yield splx.build(G)
+
+
+def test_dilate_scan_matches_box_scan():
+    for S in scan_cases(20, 41):
+        for t in range(4):
+            check_scan_against_box(S, t)
+
+
+def pendant_triangle(n):
+    """The triangle {n - 2, n - 1, n} with the pendant vertices 1..n - 3 at vertex n."""
+    return g.Graph(n, [(n - 2, n - 1), (n - 1, n), (n - 2, n)] + [(v, n) for v in range(1, n - 2)])
+
+
+def test_dilate_scan_matches_walk_on_pendant_triangles():
+    for n in range(6, 10):
+        S = splx.build(pendant_triangle(n))
+        dilate = ehrhart.hstar(S, strategy="dilate_interpolation")
+        assert dilate.entries == ehrhart.hstar(S, strategy="generic_snf").entries, n
+    # reflexive and not unimodal: the walk gives this h* for 48 of the 176
+    # reflexive graphs with n = 9 (ROADMAP, item 4); the dilate scan, which
+    # uses the facets alone, confirms it
+    assert dilate.entries == (1, 3, 3, 5, 3, 5, 3, 3, 1)
+    assert splx.is_reflexive(S) and not analysis.is_unimodal(dilate)
+
+
+def test_fm_systems_stay_within_2n():
+    n = 9
+    systems = ehrhart._fm_systems(splx.build(pendant_triangle(n)), 8)
+    assert len(systems) == n - 1
+    assert all(1 <= len(system) <= 2 * n for system in systems), [len(x) for x in systems]
+
+
+# Each mutation breaks the dilate scan; check_scan_against_box must catch it.
+DILATE_MUTATIONS = {
+    "interval counted as hi - lo": (
+        "count_dilate_points",
+        "sum(hi - lo + 1 for",
+        "sum(hi - lo for",
+    ),
+    "empty interval counted instead of skipped": (
+        "_scan_intervals",
+        "if lo <= hi:",
+        "if True:",
+    ),
+    "prefix coordinate written one level off": (
+        "_scan_intervals",
+        "prefix[len(stack) - 1] = x",
+        "prefix[len(stack) - 2] = x",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(DILATE_MUTATIONS))
+def test_dilate_mutations_are_caught(monkeypatch, mutation):
+    name, old, new = DILATE_MUTATIONS[mutation]
+    monkeypatch.setattr(ehrhart, name, mutant(getattr(ehrhart, name), old, new))
+    with pytest.raises(AssertionError):
+        for S in scan_cases(6, 41):
+            for t in range(1, 3):
+                check_scan_against_box(S, t)
+
+
+def test_overpruned_elimination_is_unbounded(monkeypatch):
+    # keeping at most k facets after k eliminations, one fewer than
+    # Chernikov's rule allows, loses the bounds that the scan checks for
+    over = mutant(ehrhart._fm_eliminate, "mask.bit_count() > k + 1", "mask.bit_count() > k")
+    monkeypatch.setattr(ehrhart, "_fm_eliminate", over)
+    with pytest.raises(InternalInconsistencyError, match="unbounded"):
+        ehrhart.count_dilate_points(splx.build(pendant_triangle(6)), 2)
 
 
 def test_hstar_from_counts_roundtrip():

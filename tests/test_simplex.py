@@ -10,11 +10,12 @@ import pytest
 
 import lapsim
 from lapsim import graph as g, linalg, simplex as splx
-from lapsim.errors import DomainError, ShapeError
+from lapsim.errors import DomainError, InternalInconsistencyError, ShapeError
 from lapsim.linalg import IntMatrix
 from oracles import (
     barycentric_of_origin,
     basis_change_matrix,
+    broken_facets,
     canonical_tree_simplex,
     facets_by_solves,
     identity,
@@ -97,12 +98,45 @@ def test_volume_check_runs_under_optimize():
 
 
 def test_origin_always_interior():
-    # row sums of the vertex matrix vanish, so (1/n,...,1/n) works
+    # the columns of L_B sum to zero, so (1/n, ..., 1/n) are the origin's
+    # barycentric coordinates: the last row of adj [L_B | 1] is s / n in
+    # every entry, which facets checks
     for G in (g.family("path", 2), g.family("cycle", 6), g.family("complete", 5)):
         S = splx.build(G)
-        assert splx.contains_origin_interior(S)
-        lam = barycentric_of_origin(S.vertex_matrix)
-        assert lam == (F(1, S.n),) * S.n
+        A, s = S.lifted_inverse_scaled
+        assert s % S.n == 0 and A.rows[-1] == (s // S.n,) * S.n
+        assert len(splx.facets(S)) == S.n
+        assert barycentric_of_origin(S.vertex_matrix) == (F(1, S.n),) * S.n
+
+
+@pytest.mark.parametrize("name", [name for name, _ in broken_facets()])
+def test_facet_mutations_are_caught(name):
+    facets = dict(broken_facets())[name]
+    # C6 has facets of local index 2 < kappa, so gcd(w) > 1 for some column w
+    for G in (g.family("cycle", 6), g.random_connected_graph(6, seed=8, extra_edges=3)):
+        with pytest.raises(InternalInconsistencyError):
+            facets(splx.build(G))
+
+
+def test_facet_checks_raise_under_optimize():
+    code = (
+        "from lapsim import family, simplex as splx\n"
+        "from lapsim.errors import InternalInconsistencyError\n"
+        "from oracles import broken_facets\n"
+        "for name, facets in broken_facets():\n"
+        "    try:\n"
+        "        facets(splx.build(family('cycle', 6)))\n"
+        "    except InternalInconsistencyError:\n"
+        "        print('raised:', name)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lapsim.__file__))
+    tests = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"raised: {name}" for name, _ in broken_facets()]
 
 
 def test_origin_not_interior_after_shift():
