@@ -86,25 +86,24 @@ def is_idp(S: splx.LaplacianSimplex, cap: int = ehrhart.DEFAULT_FPP_CAP) -> bool
     first point that fails.  By then every element at height h - 1 has been
     shown to decompose, and r - g with g <= r is such an element (it lies in
     [0, q)^n and in the group), so the test at height h is only whether some
-    height-1 g lies below r.  The walk yields each r packed into one int by
-    ``linalg.group_packing``, whose fields have a guard bit above q: then
+    height-1 g lies below r.  The walk stores each r by height, packed into
+    one int by ``S.packing``, whose fields have a guard bit above q: then
     d = (r | guard) - g borrows only inside each field, and d & guard == guard
     exactly when g <= r componentwise.  So the test is one big-int
-    subtraction per candidate, on the walk's own ints.
+    subtraction per candidate, on the walk's own ints: the candidates are
+    levels[1], and the points to test are levels[2:].
 
     ``cap`` is the parallelepiped cap of ``ehrhart.fpp_points``, which raises
     ``FeasibilityError`` before anything is walked; the walk is checked
-    where it is built, in ``LaplacianSimplex.fpp_list``.
+    where it is built, in ``LaplacianSimplex.fpp_levels``.
     """
-    by_height = [[] for _ in range(S.n)]
-    for height, r in ehrhart.fpp_points(S, cap=cap):
-        by_height[height].append(r)
-    packing = linalg.group_packing(S.volume, S.n)
+    levels = ehrhart.fpp_points(S, cap=cap)
+    packing = S.packing
     guard = packing.guard
     # a generator with a small largest coordinate lies below more elements,
     # so trying those first finds a witness sooner (K7: 38 to 29 tries each)
-    gens = sorted(by_height[1], key=lambda g: max(packing.unpack(g)))
-    for level in by_height[2:]:
+    gens = sorted(levels[1], key=lambda g: max(packing.unpack(g)))
+    for level in levels[2:]:
         for r in level:
             r |= guard
             for g in gens:
@@ -169,7 +168,7 @@ def analyze(G: Graph, strategy=None, fpp_cap: int = ehrhart.DEFAULT_FPP_CAP) -> 
     ``fpp_cap`` bounds the one parallelepiped walk, so it bounds both the
     generic h* and the IDP decision; a field whose walk is over the cap is
     None, with a note.  ``hstar`` checks that h* sums to the volume, and
-    ``S.fpp_list`` runs the walk's own checks.
+    ``S.fpp_levels`` runs the walk's own checks.
     """
     S = splx.build(G)
     notes = []
@@ -216,7 +215,6 @@ class RegressionCase:
 @dataclass
 class RegressionReport:
     cases: list = field(default_factory=list)
-    seed: int = DEFAULT_SWEEP_SEED
 
     def add(self, name, passed, detail=""):
         self.cases.append(RegressionCase(name, bool(passed), detail))
@@ -242,12 +240,13 @@ def _check(report, name, fn):
         report.add(name, False, f"error: {exc!r}")
 
 
-def paper_regression(only=None, seed: int = DEFAULT_SWEEP_SEED) -> RegressionReport:
+def paper_regression(only=None) -> RegressionReport:
     """Re-verify every concrete result at desk scale.
 
-    ``only`` optionally filters case names by substring.
+    ``only`` optionally filters case names by substring.  The random cases
+    are seeded from ``DEFAULT_SWEEP_SEED``.
     """
-    report = RegressionReport(seed=seed)
+    report = RegressionReport()
     checks = []
 
     def case(name):
@@ -323,7 +322,7 @@ def paper_regression(only=None, seed: int = DEFAULT_SWEEP_SEED) -> RegressionRep
     def _():
         import random
 
-        rng = random.Random(seed)
+        rng = random.Random(DEFAULT_SWEEP_SEED)
         for _ in range(20):
             n = rng.randint(2, 8)
             G = family("random_tree", n, seed=rng.randrange(2**30))
@@ -391,7 +390,7 @@ def paper_regression(only=None, seed: int = DEFAULT_SWEEP_SEED) -> RegressionRep
     @case("sweep/hibi-and-consistency")
     def _():
         for k in range(25):
-            G = random_connected_graph(3 + k % 4, seed=seed + k)
+            G = random_connected_graph(3 + k % 4, seed=DEFAULT_SWEEP_SEED + k)
             S = splx.build(G)
             h = ehrhart.hstar(S, strategy="generic_snf")
             if h.total != S.volume or S.volume != G.n * S.kappa:

@@ -4,15 +4,15 @@ The generic path (strategy name ``generic_snf``, kept for compatibility)
 counts the lattice points of the half-open parallelepiped spanned by the
 lifted vertex rows M = [L_B | 1] by height.  The simplex walks them once, as
 the finite group Lambda = (Z^n adj(M) + qZ^n) / qZ^n with q = |det M|, each
-element kept as one packed int with its height, and caches and checks the
-walk (``LaplacianSimplex.fpp_list``); ``fpp_points``
-checks the one size cap on that walk and then yields from the cache, so the
-h* histogram and the IDP decision share one walk.  Closed forms cover trees,
-odd cycles, and complete graphs.  An independent oracle counts the lattice
-points of each dilate from the facet description alone, never from the
-walk: Fourier-Motzkin elimination pruned by Chernikov's rule bounds the
-coordinates, scanned narrowest first, and the widest coordinate is counted
-as one interval per prefix instead of point by point.
+element kept as one packed int, and checks the walk and stores it by height
+(``LaplacianSimplex.fpp_levels``); ``fpp_points`` checks the one size cap on
+that walk and returns the levels, so h* is their sizes and the IDP decision
+reads the same levels.  Closed forms cover trees, odd cycles, and complete
+graphs.  An independent oracle counts the lattice points of each dilate from
+the facet description alone, never from the walk: Fourier-Motzkin
+elimination pruned by Chernikov's rule bounds the coordinates, scanned
+narrowest first, and the widest coordinate is counted as one interval per
+prefix instead of point by point.
 """
 
 from __future__ import annotations
@@ -68,13 +68,13 @@ class HStarVector:
 
 
 def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
-    """Yield the n*kappa fundamental parallelepiped points as (height, packed r).
+    """The n*kappa fundamental parallelepiped points by height, ``S.fpp_levels``.
 
-    r is the point's group element, packed into one int by
-    ``linalg.group_packing(S.volume, S.n)``; the point itself is r M / q.
+    levels[h] holds the group elements r of the points at height h, each
+    packed into one int by ``S.packing``; the point itself is r M / q.
     This is the only size cap on the walk: it is checked before anything is
     walked, for the h* histogram and the IDP decision alike.  The walk itself
-    runs once per simplex, is checked there and is cached as ``S.fpp_list``.
+    runs once per simplex and is checked where ``S.fpp_levels`` builds it.
     """
     vol = S.n * S.kappa
     if vol > cap:
@@ -82,7 +82,7 @@ def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
             f"fundamental parallelepiped has {vol} points, cap is {cap}",
             required=vol,
         )
-    yield from S.fpp_list
+    return S.fpp_levels
 
 
 def hstar_cycle_closed_form(n: int) -> HStarVector:
@@ -154,10 +154,7 @@ def hstar(S: LaplacianSimplex, strategy=None, cap: int = DEFAULT_FPP_CAP) -> HSt
             raise DomainError("composition counting requires a complete graph")
         h = hstar_complete(G.n)
     elif strategy == "generic_snf":
-        counts = [0] * S.n
-        for height, _ in fpp_points(S, cap=cap):
-            counts[height] += 1
-        h = HStarVector(tuple(counts), "generic_snf")
+        h = HStarVector(tuple(map(len, fpp_points(S, cap=cap))), "generic_snf")
     elif strategy == "dilate_interpolation":
         counts = [count_dilate_points(S, t) for t in range(S.n)]
         h = hstar_from_counts(counts)

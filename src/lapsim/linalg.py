@@ -9,7 +9,6 @@ floating point.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
@@ -301,11 +300,3 @@ def group_walk(steps, q, packing):
         wrapped = (cur + over) & guard
         cur -= (wrapped >> top) * q
         height += rises[j] - wrapped.bit_count()
-
-
-def is_primitive(v) -> bool:
-    """True iff the nonzero integer vector has entry gcd 1."""
-    v = tuple(map(int, v))
-    if not any(v):
-        raise DomainError("zero vector has no primitivity")
-    return gcd(*v) == 1

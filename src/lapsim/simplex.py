@@ -11,7 +11,7 @@ adjugate of the lifted matrix [L_B | 1], computed once per simplex; kappa
 reflexivity test do not use it.  The facets and the parallelepiped points
 are each computed once and cached on the simplex, so reflexivity and
 ``ell`` share one facet list, and the h* walk and the IDP decision share one
-walk, which is checked where it is built (``fpp_list``).
+walk, stored by height and checked where it is built (``fpp_levels``).
 """
 
 from __future__ import annotations
@@ -79,14 +79,20 @@ class LaplacianSimplex:
         return tuple(facets(self))
 
     @cached_property
-    def fpp_list(self):
-        """The n*kappa parallelepiped points as (height, packed r), walked once.
+    def packing(self) -> linalg.GroupPacking:
+        """The one packing of the walk's group elements, modulo the volume."""
+        return linalg.group_packing(self.volume, self.n)
 
+    @cached_property
+    def fpp_levels(self):
+        """The n*kappa parallelepiped points by height, walked once.
+
+        levels[h] is a tuple of the packed group elements r at height h.
         With A = adj(M) and q = |det M|, a point r M / q with 0 <= r < q
         corresponds to r in the group Lambda = (Z^n A + qZ^n) / qZ^n, and its
         height is sum(r) / q.  An odometer over a modular echelon basis b_j of
         Lambda visits each element once, kept as one int packed by
-        ``linalg.group_packing``; no point's coordinates are formed.
+        ``self.packing``; no point's coordinates are formed.
 
         Integrality is checked once per odometer step s_j, the vector the
         walk adds when it raises digit j (b_j plus undo vectors of the later
@@ -97,14 +103,16 @@ class LaplacianSimplex:
         no carry or borrow between fields; the per-point checks guard it, run
         for every consumer and raise even under ``python -O``: each field is
         below q (one add, one OR and one AND against the guard bits, which
-        also catch a field that borrowed), the height is derived again from
-        the packed coordinate sum and must equal q * height with
-        0 <= height < n, and the walk yields n*kappa distinct ints.  Callers
-        go through ``ehrhart.fpp_points``, which checks the size cap before
+        also catch a field that borrowed), and the height satisfies
+        0 <= height < n before it picks a level and is derived again from the
+        packed coordinate sum, which must equal q * height.  Then the levels
+        must hold n*kappa ints, all distinct: equal ints have equal
+        coordinate sums, so a repeated int lies within one level.  Callers go
+        through ``ehrhart.fpp_points``, which checks the size cap before
         anything is walked.
         """
-        adj, s = self.lifted_inverse_scaled  # lifted @ adj == s * I
-        q, n = abs(s), self.n
+        adj = self.lifted_inverse_scaled[0]  # lifted @ adj == det(lifted) * I
+        q, n = self.volume, self.n
         basis = [
             (b, q // b[j])
             for j, b in enumerate(linalg.hermite_basis_mod(adj, q))
@@ -117,26 +125,33 @@ class LaplacianSimplex:
                 sum(map(mul, step, c)) % q for c in cols
             ):
                 raise InternalInconsistencyError(f"odometer step {step} is not in the group")
-        packing = linalg.group_packing(q, n)
+        packing = self.packing
         ones, guard = packing.ones, packing.guard
         over = guard - q * ones  # a field below 2^(w-1) reaches its guard bit iff >= q
         shift, field = (n - 1) * packing.width, (1 << packing.width) - 1
-        out = list(linalg.group_walk(steps, q, packing))
-        for height, r in out:
+        levels = [[] for _ in range(n)]
+        for height, r in linalg.group_walk(steps, q, packing):
             if (r | r + over) & guard:
                 raise InternalInconsistencyError("group element with a field outside [0, q)")
             total = ((r * ones) >> shift) & field  # the top field of r * ones
-            if total != q * height or not 0 <= height < n:
+            if not 0 <= height < n or total != q * height:
                 raise InternalInconsistencyError(
                     f"parallelepiped point at height {height} has coordinate sum {total}"
                 )
-        if len(out) != q or len({r for _, r in out}) != q:
+            levels[height].append(r)
+        if sum(map(len, levels)) != q or sum(len(set(level)) for level in levels) != q:
             raise InternalInconsistencyError("parallelepiped enumeration lost points")
-        return tuple(out)
+        return tuple(map(tuple, levels))
 
     @cached_property
     def volume(self) -> int:
-        return normalized_volume(self)
+        """|det [L_B | 1]|, checked to equal n * kappa."""
+        vol = abs(self.lifted_inverse_scaled[1])
+        if vol != self.n * self.kappa:
+            raise InternalInconsistencyError(
+                f"|det [L_B | 1]| is {vol}, n * kappa is {self.n * self.kappa}"
+            )
+        return vol
 
     def __repr__(self):
         return f"LaplacianSimplex(n={self.n}, kappa={self.kappa})"
@@ -156,16 +171,6 @@ def build(G: Graph) -> LaplacianSimplex:
     if any(map(sum, zip(*rows))):
         raise InternalInconsistencyError("a column of L_B does not sum to zero")
     return LaplacianSimplex(G, IntMatrix(rows), spanning_tree_count(G, L))
-
-
-def normalized_volume(S: LaplacianSimplex) -> int:
-    """|det [L_B | 1]|, which always equals n * kappa."""
-    vol = abs(S.lifted_inverse_scaled[1])
-    if vol != S.n * S.kappa:
-        raise InternalInconsistencyError(
-            f"|det [L_B | 1]| is {vol}, n * kappa is {S.n * S.kappa}"
-        )
-    return vol
 
 
 def facets(S: LaplacianSimplex):
@@ -224,11 +229,16 @@ def is_reflexive(S: LaplacianSimplex) -> bool:
 def ell_reflexive_index(S: LaplacianSimplex):
     """The common facet local index ell, or None.
 
-    Requires every vertex row primitive and all facet local indices equal;
-    the origin is interior, as ``facets`` checks.
+    Requires all facet local indices equal; the origin is interior, as
+    ``facets`` checks.  Every vertex row is primitive, with no test needed:
+    row i of L_B holds the prefix sums of row i of L, which is -1 at each
+    neighbour of i, deg(i) >= 1 at i and 0 elsewhere.  If i has a neighbour
+    k < i, the sums read -1 at the first such k, a column below n - 1.
+    Otherwise every neighbour lies after i, and the sums read deg(i) at
+    column i and lose 1 at each neighbour, so they read 1 just before the
+    last neighbour (at column i itself when deg(i) = 1).  Either way the row
+    has an entry +-1.
     """
-    if not all(linalg.is_primitive(r) for r in S.vertex_matrix.rows):
-        return None
     indices = {f.local_index for f in S.facet_list}
     if len(indices) != 1:
         return None

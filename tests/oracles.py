@@ -5,11 +5,11 @@ search, a dense change-of-basis product, the coordinates r M / q of each
 parallelepiped point, the odd-cycle kernel sum and a box scan of each
 dilate, methods the library itself does not run, so agreement is a real
 cross-check.  The helpers after them (matrix and row-vector products,
-unimodularity, the origin's barycentric coordinates from a fresh adjugate,
-the lattice points of a dilate from the dilate scan's intervals,
-equivalence certificates, and ``mutant`` and ``broken_facets`` for the
-mutation tests) have no caller in the library and live here for the tests
-alone.
+primitivity, unimodularity, the origin's barycentric coordinates from a
+fresh adjugate, the lattice points of a dilate from the dilate scan's
+intervals, equivalence certificates, and ``mutant`` and ``broken_facets``
+for the mutation tests) have no caller in the library and live here for the
+tests alone.
 """
 
 import inspect
@@ -38,7 +38,7 @@ def fpp_point(S, r):
     coordinate of the point is its height.
     """
     q = S.volume
-    coords = mul_row_vector(linalg.group_packing(q, S.n).unpack(r), S.lifted)
+    coords = mul_row_vector(S.packing.unpack(r), S.lifted)
     if any(x % q for x in coords):
         raise AssertionError(f"r M = {coords} is not divisible by q = {q}")
     return tuple(x // q for x in coords)
@@ -149,7 +149,7 @@ def idp_by_cone_search(S):
     """
     if S.n > 6:
         raise DomainError("the cone-search oracle is meant for n <= 6")
-    pts = [fpp_point(S, r) for _, r in ehrhart.fpp_points(S)]
+    pts = [fpp_point(S, r) for level in ehrhart.fpp_points(S) for r in level]
     gens = {p[:-1] for p in pts if p[-1] == 1}
     gens.update(tuple(r) for r in S.vertex_matrix.rows)
     adj, s = S.lifted_inverse_scaled
@@ -199,6 +199,14 @@ def mul_row_vector(v, M: IntMatrix):
     if len(v) != M.nrows:
         raise ShapeError("vector length does not match row count")
     return tuple(sum(x * r[j] for x, r in zip(v, M.rows)) for j in range(M.ncols))
+
+
+def is_primitive(v) -> bool:
+    """True iff the nonzero integer vector has entry gcd 1."""
+    v = tuple(map(int, v))
+    if not any(v):
+        raise DomainError("zero vector has no primitivity")
+    return gcd(*v) == 1
 
 
 def is_unimodular(M: IntMatrix) -> bool:

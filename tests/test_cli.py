@@ -1,4 +1,4 @@
-"""Command-line interface: formats, batch runs, exit codes, env overrides."""
+"""Command-line interface: formats, batch runs, exit codes, caps."""
 
 import io
 import json
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapsim import cli
+from lapsim import cli, linalg
 from lapsim.errors import LapsimError
 from lapsim.graph import FAMILIES, MAX_N, Graph, family, write_edge_list
 
@@ -111,6 +111,24 @@ def test_batch_deterministic():
 def test_batch_needs_a_target():
     code, _ = run(["--family", "cycle", "batch"])
     assert code == 2
+
+
+def test_batch_keeps_input_errors_in_their_row():
+    code, text = run(["--family", "cycle", "--n-range", "2:4", "batch"])
+    assert code == 0
+    lines = text.strip().splitlines()
+    assert lines[1].startswith("2,,,,,,,,,error: ")
+    assert [ln.split(",")[0] for ln in lines[2:]] == ["3", "4"]
+
+
+def test_batch_exits_3_on_a_corrupted_walk(monkeypatch, capsys):
+    walk = linalg.group_walk
+    monkeypatch.setattr(linalg, "group_walk", lambda *a: ((h, r + 1) for h, r in walk(*a)))
+    code, text = run(["--family", "cycle", "--n-range", "6:6", "batch"])
+    assert code == cli.EXIT_INCONSISTENT
+    assert "error" not in text
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: ") and err.count("\n") == 1
 
 
 # -- verify-paper ------------------------------------------------------------
@@ -250,7 +268,7 @@ def test_edge_list_above_the_bound_exit_2(tmp_path, capsys):
     assert err.startswith(f"error: edge-list size n = {n}") and err.count("\n") == 1
 
 
-def test_parser_is_built_once_and_reused(monkeypatch):
+def test_parser_is_built_once_and_reused():
     cli.build_parser.cache_clear()
     argv = ["--family", "cycle", "--n", "6", "report"]
     first = run(argv)
@@ -258,9 +276,8 @@ def test_parser_is_built_once_and_reused(monkeypatch):
         run(["--family", "cycle", "--n", "6", "--no-such-flag", "report"])
     assert exc.value.code == 2
     assert run(argv) == first and first[0] == 0
-    # the environment is still read on every call
-    monkeypatch.setenv("LAPSIM_FPP_CAP", "1")
-    assert json.loads(run(argv)[1])["hstar"] is None
+    # the options are still read on every call
+    assert json.loads(run(argv[:-1] + ["--fpp-cap", "1", "report"])[1])["hstar"] is None
     assert cli.build_parser.cache_info().misses == 1
 
 
@@ -282,28 +299,14 @@ def test_cap_flag_softens_to_null_fields():
     code, text = run(["--family", "cycle", "--n", "6", "--fpp-cap", "1", "report"])
     assert code == 0
     d = json.loads(text)
-    assert d["hstar"] is None and d["symmetric"] is None
+    assert d["hstar"] is None and d["symmetric"] is None and d["idp"] is None
     assert d["notes"]
-
-
-def test_env_var_caps(monkeypatch):
-    monkeypatch.setenv("LAPSIM_FPP_CAP", "1")
-    code, text = run(["--family", "cycle", "--n", "6", "report"])
-    assert code == 0
-    d = json.loads(text)
-    assert d["hstar"] is None and d["idp"] is None
 
 
 def test_removed_idp_flag_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["--family", "cycle", "--n", "6", "--idp-cap", "5", "report"])
     assert exc.value.code == 2
-
-
-def test_env_var_invalid(monkeypatch):
-    monkeypatch.setenv("LAPSIM_FPP_CAP", "lots")
-    code, _ = run(["--family", "cycle", "--n", "5", "report"])
-    assert code == 2
 
 
 def test_unexpected_exception_exits_3(monkeypatch, capsys):

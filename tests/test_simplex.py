@@ -19,6 +19,7 @@ from oracles import (
     canonical_tree_simplex,
     facets_by_solves,
     identity,
+    is_primitive,
     is_unimodular,
     matmul,
     origin_in_interior,
@@ -84,7 +85,7 @@ def test_volume_check_runs_under_optimize():
         "S = splx.build(family('cycle', 5))\n"
         "bad = splx.LaplacianSimplex(S.graph, S.vertex_matrix, S.kappa + 1)\n"
         "try:\n"
-        "    splx.normalized_volume(bad)\n"
+        "    bad.volume\n"
         "except InternalInconsistencyError as exc:\n"
         "    print('raised:', exc)\n"
     )
@@ -161,7 +162,7 @@ def facet_invariants(S):
     assert sorted(f.opposite for f in fs) == list(range(S.n))
     for f in fs:
         assert f.local_index >= 1
-        assert linalg.is_primitive(f.normal)
+        assert is_primitive(f.normal)
         for j in range(S.n):
             val = sum(a * x for a, x in zip(f.normal, S.vertex_matrix.rows[j]))
             if j == f.opposite:
@@ -236,6 +237,30 @@ def test_reflexivity_and_ell():
     # reflexive means ell = 1 whenever the vertex rows are primitive
     S = splx.build(g.family("complete", 4))
     assert splx.is_reflexive(S)
+
+
+def test_ell_needs_no_primitivity_test():
+    # every vertex row of L_B has an entry +-1, so the primitivity test that
+    # used to guard ell never fails; ell still equals its old definition
+    def old_ell(S):
+        if not all(is_primitive(r) for r in S.vertex_matrix.rows):
+            return None
+        indices = {f.local_index for f in S.facet_list}
+        return indices.pop() if len(indices) == 1 else None
+
+    rng = random.Random(67)
+    kinds = ("path", "cycle", "complete", "star")
+    graphs = [g.family(kind, n) for kind in kinds for n in (3, 8, 29)]
+    graphs += [g.family(kind, 2) for kind in kinds if kind != "cycle"]
+    graphs += [g.family("random_tree", n, seed=n) for n in range(2, 30, 3)]
+    for k in range(60):
+        n = rng.randint(2, 12)
+        extra = rng.randint(0, 2 * n)
+        graphs.append(g.random_connected_graph(n, seed=7000 + k, extra_edges=extra))
+    for G in graphs:
+        S = splx.build(G)
+        assert all(1 in map(abs, r) for r in S.vertex_matrix.rows), G
+        assert splx.ell_reflexive_index(S) == old_ell(S), G
 
 
 def test_ell_none_for_mixed_indices():
