@@ -8,7 +8,6 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import IntMatrix
 from .graph import Graph, family, laplacian, spanning_tree_count
 from .simplex import LaplacianSimplex, build, facets, is_reflexive
 from .ehrhart import HStarVector, hstar
@@ -21,7 +20,6 @@ __all__ = [
     "FeasibilityError",
     "Graph",
     "HStarVector",
-    "IntMatrix",
     "InternalInconsistencyError",
     "LapsimError",
     "LaplacianSimplex",

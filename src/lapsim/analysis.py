@@ -115,15 +115,16 @@ def is_idp(S: splx.LaplacianSimplex, cap: int = ehrhart.DEFAULT_FPP_CAP) -> bool
 
 
 def bridge_division_condition(G: Graph) -> bool:
-    """kappa divides n * det(L_B(i, n | j)) for all i, j in [n-1]."""
+    """kappa divides n * det(L_B(i, n | j)) for all i, j in [n-1].
+
+    L_B(i, n | j) is B = L_B without row n, with row i and column j deleted,
+    so its determinant is, up to sign, entry (j, i) of adj(B): all of them
+    come from one checked ``linalg.inverse_scaled``.
+    """
     S = splx.build(G)
     kappa, n = S.kappa, S.n
-    for i in range(n - 1):
-        for j in range(n - 1):
-            m = linalg.minor(S.vertex_matrix, [i, n - 1], [j])
-            if (n * m) % kappa:
-                return False
-    return True
+    adj, _ = linalg.inverse_scaled(S.vertex_matrix[:-1])
+    return not any(n * x % kappa for row in adj for x in row)
 
 
 def verify_prime_cycle_formula(n: int) -> bool:

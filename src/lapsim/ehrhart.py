@@ -255,7 +255,7 @@ def _scan_order(S: LaplacianSimplex):
 
     A permutation of the coordinates is unimodular, so it keeps every count.
     """
-    cols = list(zip(*S.vertex_matrix.rows))
+    cols = list(zip(*S.vertex_matrix))
     return sorted(range(S.dim), key=lambda j: max(cols[j]) - min(cols[j]))
 
 

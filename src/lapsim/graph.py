@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
-from .linalg import IntMatrix
+from .linalg import determinant
 
 FAMILIES = ("path", "cycle", "complete", "star", "random_tree")
 # The largest n of a graph from ``family``, ``parse_edge_list``, ``whisker``,
@@ -110,30 +110,24 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
 
 
-def laplacian(G: Graph) -> IntMatrix:
-    """Degree matrix minus adjacency matrix."""
+def laplacian(G: Graph) -> tuple:
+    """Degree matrix minus adjacency matrix, as a tuple of int rows."""
     adj = G.neighbors
-    rows = []
-    for i in range(1, G.n + 1):
-        rows.append(
-            [
-                len(adj[i]) if i == j else (-1 if j in adj[i] else 0)
-                for j in range(1, G.n + 1)
-            ]
-        )
-    return IntMatrix(rows)
+    vertices = range(1, G.n + 1)
+    return tuple(
+        tuple([len(adj[i]) if i == j else (-1 if j in adj[i] else 0) for j in vertices])
+        for i in vertices
+    )
 
 
-def spanning_tree_count(G: Graph, L: IntMatrix | None = None) -> int:
+def spanning_tree_count(G: Graph, L: tuple | None = None) -> int:
     """Spanning trees as the (1,1) cofactor of L, which the volume is checked against.
 
     ``L`` is G's Laplacian, if the caller has already built it.
     """
     if G.n == 1:
         return 1
-    from .linalg import determinant
-
-    kappa = determinant((laplacian(G) if L is None else L).submatrix([0], [0]))
+    kappa = determinant([row[1:] for row in (laplacian(G) if L is None else L)[1:]])
     if kappa < 1:
         raise InternalInconsistencyError(f"connected graph with {kappa} spanning trees")
     return kappa
@@ -326,12 +320,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def format_edge_list(G: Graph) -> str:
-    lines = [f"{G.n} {G.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in G.sorted_edges())
-    return "\n".join(lines) + "\n"
-
-
 def read_edge_list(path) -> Graph:
     try:
         fh = open(path, "r", encoding="ascii")
@@ -343,8 +331,3 @@ def read_edge_list(path) -> Graph:
         except UnicodeDecodeError as exc:
             raise DomainError(f"{path}: not ASCII text (byte {exc.start})") from exc
     return parse_edge_list(text)
-
-
-def write_edge_list(G: Graph, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(G))

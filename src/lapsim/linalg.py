@@ -1,10 +1,12 @@
 """Exact integer linear algebra.
 
-All matrix entries are Python ints (arbitrary precision), and every routine
-here is integer-only: fraction-free (Bareiss) elimination for determinants
-and the adjugate, and extended-gcd row reduction modulo a determinant for
-echelon bases of lattices that contain qZ^n.  Nothing here ever touches
-floating point.
+A matrix is a sequence of rows of Python ints (arbitrary precision), and a
+matrix returned here is a tuple of int tuples.  ``determinant`` and
+``inverse_scaled`` raise ``ShapeError`` on an empty, ragged or non-square
+matrix.  Every routine here is integer-only: fraction-free (Bareiss)
+elimination for determinants and the adjugate, and extended-gcd row
+reduction modulo a determinant for echelon bases of lattices that contain
+qZ^n.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -14,62 +16,7 @@ from typing import NamedTuple
 from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
 
 
-class IntMatrix:
-    """Immutable dense integer matrix, row-major."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(map(int, row)) for row in rows)
-        if not rows or not rows[0]:
-            raise ShapeError("matrix must have at least one row and column")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ShapeError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @property
-    def is_square(self):
-        return self.nrows == self.ncols
-
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    def submatrix(self, delete_rows=(), delete_cols=()):
-        """Delete the given 0-based rows and columns."""
-        dr, dc = set(delete_rows), set(delete_cols)
-        rows = [
-            [x for j, x in enumerate(r) if j not in dc]
-            for i, r in enumerate(self.rows)
-            if i not in dr
-        ]
-        return IntMatrix(rows)
-
-    def augment_column(self, col):
-        if len(col) != self.nrows:
-            raise ShapeError("column length does not match row count")
-        return IntMatrix([r + (int(c),) for r, c in zip(self.rows, col)])
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.rows]})"
-
-
-def determinant(M: IntMatrix) -> int:
+def determinant(M) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Step k replaces each row i > k with a_ik != 0 by (a_kk row_i - a_ik row_k)
@@ -78,10 +25,10 @@ def determinant(M: IntMatrix) -> int:
     holding its value times scale[i] / prev, until one exact division brings
     it up to date when it is next used.
     """
-    if not M.is_square:
-        raise ShapeError("determinant requires a square matrix")
-    a = [list(r) for r in M.rows]
-    n = M.nrows
+    n = len(M)
+    if not n or any(len(r) != n for r in M):
+        raise ShapeError("determinant requires a nonempty square matrix")
+    a = [list(r) for r in M]
     scale = [1] * n
     sign = prev = 1
     for k in range(n - 1):
@@ -111,12 +58,7 @@ def determinant(M: IntMatrix) -> int:
     return sign * a[-1][-1] * prev // scale[-1]
 
 
-def minor(M: IntMatrix, delete_rows=(), delete_cols=()) -> int:
-    """Determinant of the submatrix with the given 0-based rows/cols deleted."""
-    return determinant(M.submatrix(delete_rows, delete_cols))
-
-
-def inverse_scaled(M: IntMatrix):
+def inverse_scaled(M):
     """Return (A, s) with integer A and M @ A == s * I, s = det(M).
 
     A is the adjugate of M, from one fraction-free Gauss-Jordan elimination
@@ -125,10 +67,10 @@ def inverse_scaled(M: IntMatrix):
     All n^2 entries of M @ A are checked against s * I from M's nonzero
     entries, raising ``InternalInconsistencyError`` even under python -O.
     """
-    if not M.is_square:
-        raise ShapeError("inverse requires a square matrix")
-    n = M.nrows
-    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M.rows)]
+    n = len(M)
+    if not n or any(len(r) != n for r in M):
+        raise ShapeError("inverse requires a nonempty square matrix")
+    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M)]
     scale = [1] * n  # row i holds its value times scale[i] / prev
     sign = prev = 1
     for k in range(n):
@@ -159,14 +101,14 @@ def inverse_scaled(M: IntMatrix):
     # [M | I] became [d I | d M^-1], with d = sign * det(M) after the row swaps
     s = sign * prev
     A = [[sign * x * prev // b for x in row[n:]] for row, b in zip(a, scale)]
-    for i, row in enumerate(M.rows):
+    for i, row in enumerate(M):
         got = [0] * n
         for j, x in enumerate(row):
             if x:  # M is sparse: skip its zero entries
                 got = [u + x * v for u, v in zip(got, A[j])]
         if got != [s if c == i else 0 for c in range(n)]:
             raise InternalInconsistencyError("adjugate check M @ A == det(M) * I failed")
-    return IntMatrix(A), s
+    return tuple(map(tuple, A)), s
 
 
 def _xgcd(a, b):
@@ -180,7 +122,7 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def hermite_basis_mod(M: IntMatrix, q: int):
+def hermite_basis_mod(M, q: int):
     """Echelon basis of the lattice spanned by the rows of M and qZ^n.
 
     Returns n rows b_0..b_{n-1}: b_j is zero before column j, its pivot
@@ -193,8 +135,8 @@ def hermite_basis_mod(M: IntMatrix, q: int):
     """
     if q < 1:
         raise DomainError("modulus must be positive")
-    n = M.ncols
-    rows = [[x % q for x in r] for r in M.rows]
+    n = len(M[0])
+    rows = [[x % q for x in r] for r in M]
     basis = []
     for j in range(n):
         piv = [0] * n

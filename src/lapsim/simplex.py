@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
 from operator import mul
 
 from .errors import DomainError, InternalInconsistencyError, ShapeError
 from . import linalg
-from .linalg import IntMatrix
 from .graph import Graph, laplacian, spanning_tree_count
 
 
@@ -54,19 +54,19 @@ class FacetData:
 class LaplacianSimplex:
     """Convex hull of the rows of the reduced Laplacian of a graph."""
 
-    def __init__(self, graph: Graph, vertex_matrix: IntMatrix, kappa: int):
+    def __init__(self, graph: Graph, vertex_matrix: tuple, kappa: int):
         self.graph = graph
         self.vertex_matrix = vertex_matrix
         self.kappa = kappa
-        self.n = vertex_matrix.nrows
-        self.dim = vertex_matrix.ncols
-        if self.dim != self.n - 1:
+        self.n = len(vertex_matrix)
+        self.dim = self.n - 1
+        if any(len(row) != self.dim for row in vertex_matrix):
             raise ShapeError("vertex matrix must be n x (n-1)")
 
     @cached_property
-    def lifted(self) -> IntMatrix:
+    def lifted(self) -> tuple:
         """The square matrix with rows (v_i, 1)."""
-        return self.vertex_matrix.augment_column([1] * self.n)
+        return tuple((*row, 1) for row in self.vertex_matrix)
 
     @cached_property
     def lifted_inverse_scaled(self):
@@ -119,7 +119,7 @@ class LaplacianSimplex:
             if b[j] != q
         ]
         steps = linalg.odometer_steps(basis, q)
-        cols = list(zip(*self.lifted.rows))
+        cols = list(zip(*self.lifted))
         for step, _ in steps:
             if not all(0 <= x < q for x in step) or any(
                 sum(map(mul, step, c)) % q for c in cols
@@ -164,13 +164,10 @@ def build(G: Graph) -> LaplacianSimplex:
     # L_B = L times the upper triangular 0/1 matrix: L_B[i][j] is the sum of
     # L[i][k] over k <= j, for j < n - 1
     L = laplacian(G)
-    rows = []
-    for row in L.rows:
-        total = 0
-        rows.append([total := total + x for x in row[:-1]])
+    rows = tuple(tuple(accumulate(row[:-1])) for row in L)
     if any(map(sum, zip(*rows))):
         raise InternalInconsistencyError("a column of L_B does not sum to zero")
-    return LaplacianSimplex(G, IntMatrix(rows), spanning_tree_count(G, L))
+    return LaplacianSimplex(G, rows, spanning_tree_count(G, L))
 
 
 def facets(S: LaplacianSimplex):
@@ -197,12 +194,12 @@ def facets(S: LaplacianSimplex):
     """
     A, s = S.lifted_inverse_scaled
     n = S.n
-    if any(n * t != s for t in A.rows[-1]):
+    if any(n * t != s for t in A[-1]):
         raise InternalInconsistencyError("the origin is not the centroid of the vertices")
     sign = 1 if s > 0 else -1
-    rows = S.vertex_matrix.rows
+    rows = S.vertex_matrix
     out = []
-    for i, (*w, t) in enumerate(zip(*A.rows)):
+    for i, (*w, t) in enumerate(zip(*A)):
         g = gcd(*w)
         normal = tuple((x if t < 0 else -x) // g for x in w)
         local_index = abs(t) // g
@@ -248,16 +245,22 @@ def ell_reflexive_index(S: LaplacianSimplex):
 def cofactor_reflexivity_test(S: LaplacianSimplex) -> bool:
     """Reflexivity via divisibility of cofactor column sums.
 
-    Independent of the adjugate behind the facets: works purely with signed
-    minors of each first minor of the vertex matrix.
+    kappa must divide every cofactor column sum of each first minor B of the
+    vertex matrix (one row deleted).  adj(B) is the transposed cofactor
+    matrix, so these sums are the row sums of adj(B), from one checked
+    ``linalg.inverse_scaled`` per B, O(n^4) in all.  B is never the lifted
+    matrix, so the test is independent of the adjugate behind the facets.
+    The origin is the centroid, so |det B| = volume / n = kappa for every B;
+    a B that breaks this raises ``InternalInconsistencyError``, also under
+    python -O.
     """
-    kappa = S.kappa
+    kappa, rows = S.kappa, S.vertex_matrix
     for i in range(S.n):
-        B = S.vertex_matrix.submatrix([i])
-        for j in range(S.dim):
-            col_sum = sum(
-                (-1) ** (k + j) * linalg.minor(B, [k], [j]) for k in range(S.dim)
+        adj, s = linalg.inverse_scaled(rows[:i] + rows[i + 1 :])
+        if abs(s) != kappa:
+            raise InternalInconsistencyError(
+                f"first minor without row {i} has determinant {s}, kappa is {kappa}"
             )
-            if col_sum % kappa:
-                return False
+        if any(sum(row) % kappa for row in adj):
+            return False
     return True

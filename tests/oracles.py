@@ -2,14 +2,17 @@
 
 These use rational Gauss elimination, Laplace expansion, a memoised cone
 search, a dense change-of-basis product, the coordinates r M / q of each
-parallelepiped point, the odd-cycle kernel sum and a box scan of each
-dilate, methods the library itself does not run, so agreement is a real
-cross-check.  The helpers after them (matrix and row-vector products,
-primitivity, unimodularity, the origin's barycentric coordinates from a
-fresh adjugate, the lattice points of a dilate from the dilate scan's
-intervals, equivalence certificates, and ``mutant`` and ``broken_facets``
-for the mutation tests) have no caller in the library and live here for the
-tests alone.
+parallelepiped point, the odd-cycle kernel sum, a box scan of each dilate,
+and both cofactor criteria by their definitions, one determinant per minor;
+the library itself runs none of these methods, so agreement is a real
+cross-check.  The helpers after them (matrix and row-vector products, row
+and column deletion, primitivity, unimodularity, the origin's barycentric
+coordinates from a fresh adjugate, the lattice points of a dilate from the
+dilate scan's intervals, equivalence certificates, the edge-list writer, and
+``mutant`` and ``broken_facets`` for the mutation tests) have no caller in
+the library and live here for the tests alone.
+
+A matrix is a tuple of int rows, as in the library.
 """
 
 import inspect
@@ -22,12 +25,11 @@ from operator import mul
 
 from lapsim import ehrhart, linalg, simplex as splx
 from lapsim.errors import DomainError, ShapeError, SingularMatrixError
-from lapsim.linalg import IntMatrix
 
 
-def basis_change_matrix(n: int) -> IntMatrix:
+def basis_change_matrix(n: int):
     """Upper triangular n x (n-1) matrix of ones on and above the diagonal."""
-    return IntMatrix([[1 if i <= j else 0 for j in range(n - 1)] for i in range(n)])
+    return tuple(tuple(1 if i <= j else 0 for j in range(n - 1)) for i in range(n))
 
 
 def fpp_point(S, r):
@@ -69,7 +71,7 @@ def dilate_points_by_box(S, t):
     tested against every facet inequality normal . x <= t * local_index; no
     elimination, ordering or interval is involved.
     """
-    box = [range(t * min(c), t * max(c) + 1) for c in zip(*S.vertex_matrix.rows)]
+    box = [range(t * min(c), t * max(c) + 1) for c in zip(*S.vertex_matrix)]
     facets = [(f.normal, t * f.local_index) for f in S.facet_list]
     return [
         x
@@ -78,17 +80,17 @@ def dilate_points_by_box(S, t):
     ]
 
 
-def solve_exact(M: IntMatrix, b):
+def solve_exact(M, b):
     """Solve M x = b exactly; returns a tuple of Fractions.
 
     ``b`` may contain ints or Fractions.
     """
-    if not M.is_square:
+    n = len(M)
+    if any(len(r) != n for r in M):
         raise ShapeError("solve requires a square matrix")
-    n = M.nrows
     if len(b) != n:
         raise ShapeError("right-hand side length does not match")
-    a = [[Fraction(x) for x in r] + [Fraction(b[i])] for i, r in enumerate(M.rows)]
+    a = [[Fraction(x) for x in r] + [Fraction(b[i])] for i, r in enumerate(M)]
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
@@ -106,32 +108,66 @@ def solve_exact(M: IntMatrix, b):
     return tuple(x)
 
 
-def determinant_by_cofactors(M: IntMatrix) -> int:
+def determinant_by_cofactors(M) -> int:
     """Laplace expansion along the first row."""
-    if not M.is_square:
+    n = len(M)
+    if any(len(r) != n for r in M):
         raise ShapeError("determinant requires a square matrix")
-    n = M.nrows
     if n == 1:
-        return M.rows[0][0]
+        return M[0][0]
     total = 0
-    for j in range(n):
-        if M.rows[0][j]:
-            total += (-1) ** j * M.rows[0][j] * determinant_by_cofactors(
-                M.submatrix([0], [j])
-            )
+    for j, x in enumerate(M[0]):
+        if x:
+            total += (-1) ** j * x * determinant_by_cofactors(without(M, [0], [j]))
     return total
 
 
-def facets_by_solves(vertex_matrix: IntMatrix):
+def minor(M, rows=(), cols=()) -> int:
+    """``linalg.determinant`` of M with the given rows and columns deleted.
+
+    The empty matrix that deleting every row leaves has determinant 1.
+    """
+    rest = without(M, rows, cols)
+    return linalg.determinant(rest) if rest else 1
+
+
+def cofactor_reflexivity_by_minors(S) -> bool:
+    """The cofactor reflexivity criterion, one determinant per cofactor.
+
+    kappa must divide every cofactor column sum of each first minor B of the
+    vertex matrix (one row deleted): n (n - 1)^2 determinants of size n - 2.
+    """
+    kappa, d = S.kappa, S.dim
+    for i in range(S.n):
+        B = without(S.vertex_matrix, [i])
+        for j in range(d):
+            col_sum = sum((-1) ** (k + j) * minor(B, [k], [j]) for k in range(d))
+            if col_sum % kappa:
+                return False
+    return True
+
+
+def bridge_division_by_minors(G) -> bool:
+    """kappa divides n * det(L_B(i, n | j)) for all i, j in [n-1], one determinant each."""
+    S = splx.build(G)
+    kappa, n = S.kappa, S.n
+    for i in range(n - 1):
+        for j in range(n - 1):
+            if n * minor(S.vertex_matrix, [i, n - 1], [j]) % kappa:
+                return False
+    return True
+
+
+def facets_by_solves(vertex_matrix):
     """(opposite, dual_vertex, normal, local_index) for every facet.
 
     One rational solve per facet: the dual vertex u of the facet opposite
     row i satisfies u . v_j = 1 for every other row v_j.
     """
-    n = vertex_matrix.nrows
+    n = len(vertex_matrix)
     out = []
     for i in range(n):
-        dual = solve_exact(vertex_matrix.submatrix([i]), [1] * (n - 1))
+        dual = solve_exact(without(vertex_matrix, [i]), [1] * (n - 1))
         denom = lcm(*(c.denominator for c in dual))
         scaled = [int(c * denom) for c in dual]
         g = reduce(gcd, scaled, 0)
@@ -151,7 +187,7 @@ def idp_by_cone_search(S):
         raise DomainError("the cone-search oracle is meant for n <= 6")
     pts = [fpp_point(S, r) for level in ehrhart.fpp_points(S) for r in level]
     gens = {p[:-1] for p in pts if p[-1] == 1}
-    gens.update(tuple(r) for r in S.vertex_matrix.rows)
+    gens.update(S.vertex_matrix)
     adj, s = S.lifted_inverse_scaled
     sign = 1 if s > 0 else -1
 
@@ -178,27 +214,41 @@ def idp_by_cone_search(S):
     return all(decomposes(p[:-1], p[-1]) for p in pts if p[-1] >= 2)
 
 
-def transpose(M: IntMatrix) -> IntMatrix:
-    return IntMatrix(zip(*M.rows))
+def shape(M):
+    return len(M), len(M[0])
 
 
-def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+def without(M, rows=(), cols=()):
+    """M with the given 0-based rows and columns deleted."""
+    rows, cols = set(rows), set(cols)
+    return tuple(
+        tuple(x for j, x in enumerate(r) if j not in cols)
+        for i, r in enumerate(M)
+        if i not in rows
+    )
+
+
+def transpose(M):
+    return tuple(zip(*M))
+
+
+def matmul(A, B):
     """The dense product A B."""
-    if A.ncols != B.nrows:
-        raise ShapeError(f"cannot multiply {A.shape} by {B.shape}")
-    cols = transpose(B).rows
-    return IntMatrix([[sum(a * b for a, b in zip(r, c)) for c in cols] for r in A.rows])
+    if shape(A)[1] != len(B):
+        raise ShapeError(f"cannot multiply {shape(A)} by {shape(B)}")
+    cols = transpose(B)
+    return tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in A)
 
 
-def identity(n: int) -> IntMatrix:
-    return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+def identity(n: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mul_row_vector(v, M: IntMatrix):
+def mul_row_vector(v, M):
     """Row vector times M, exact (ints or Fractions)."""
-    if len(v) != M.nrows:
+    if len(v) != len(M):
         raise ShapeError("vector length does not match row count")
-    return tuple(sum(x * r[j] for x, r in zip(v, M.rows)) for j in range(M.ncols))
+    return tuple(sum(map(mul, v, c)) for c in zip(*M))
 
 
 def is_primitive(v) -> bool:
@@ -209,20 +259,18 @@ def is_primitive(v) -> bool:
     return gcd(*v) == 1
 
 
-def is_unimodular(M: IntMatrix) -> bool:
-    """True iff M is square with |det M| = 1."""
-    if not M.is_square:
-        raise ShapeError("unimodularity requires a square matrix")
+def is_unimodular(M) -> bool:
+    """True iff M is square with |det M| = 1; ``ShapeError`` if it is not square."""
     return abs(linalg.determinant(M)) == 1
 
 
-def barycentric_of_origin(vertex_matrix: IntMatrix):
+def barycentric_of_origin(vertex_matrix):
     """Coefficients lam with lam . [M | 1] = (0,...,0,1), from its own adjugate."""
-    A, s = linalg.inverse_scaled(vertex_matrix.augment_column([1] * vertex_matrix.nrows))
-    return tuple(Fraction(x, s) for x in A.rows[-1])
+    A, s = linalg.inverse_scaled([(*r, 1) for r in vertex_matrix])
+    return tuple(Fraction(x, s) for x in A[-1])
 
 
-def origin_in_interior(vertex_matrix: IntMatrix) -> bool:
+def origin_in_interior(vertex_matrix) -> bool:
     """True iff the origin is a strictly positive convex combination of the rows."""
     try:
         return all(c > 0 for c in barycentric_of_origin(vertex_matrix))
@@ -252,37 +300,46 @@ def lattice_points(S):
     return dilate_points(S, 1)
 
 
-def _vertex_rows(obj) -> IntMatrix:
+def _vertex_rows(obj):
     if isinstance(obj, splx.LaplacianSimplex):
         return obj.vertex_matrix
-    if isinstance(obj, IntMatrix):
-        return obj
-    return IntMatrix(obj)
+    return tuple(map(tuple, obj))
 
 
-def verify_equivalence_certificate(S1, S2, U: IntMatrix, perm) -> bool:
+def verify_equivalence_certificate(S1, S2, U, perm) -> bool:
     """Check that row perm(i) of S2 equals row i of S1 times unimodular U.
 
     ``perm`` maps 0-based row indices of S1 to row indices of S2.
     """
     M1, M2 = _vertex_rows(S1), _vertex_rows(S2)
-    if M1.shape != M2.shape or U.shape != (M1.ncols, M1.ncols):
+    d = shape(M1)[1]
+    if shape(M1) != shape(M2) or shape(U) != (d, d):
         raise ShapeError("incompatible shapes for equivalence certificate")
-    if sorted(perm) != list(range(M1.nrows)):
+    if sorted(perm) != list(range(len(M1))):
         raise ShapeError("perm must be a permutation of the rows")
     if not is_unimodular(U):
         return False
-    mapped = matmul(M1, U).rows
-    return all(mapped[i] == M2.rows[perm[i]] for i in range(M1.nrows))
+    mapped = matmul(M1, U)
+    return all(mapped[i] == M2[perm[i]] for i in range(len(M1)))
 
 
-def canonical_tree_simplex(d: int) -> IntMatrix:
+def canonical_tree_simplex(d: int):
     """Vertex matrix of the standard reflexive simplex conv(e_1..e_d, -1)."""
     if d < 1:
         raise DomainError("dimension must be >= 1")
-    rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    rows.append([-1] * d)
-    return IntMatrix(rows)
+    return identity(d) + ((-1,) * d,)
+
+
+def format_edge_list(G) -> str:
+    """G in the edge-list text format that ``graph.parse_edge_list`` reads."""
+    lines = [f"{G.n} {G.num_edges}"]
+    lines.extend(f"{u} {v}" for u, v in G.sorted_edges())
+    return "\n".join(lines) + "\n"
+
+
+def write_edge_list(G, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(format_edge_list(G))
 
 
 def mutant(fn, old, new):
@@ -303,14 +360,14 @@ def broken_facets():
     yield "wrong sign", mutant(splx.facets, "(x if t < 0 else -x) // g", "(-x if t < 0 else x) // g")
     yield "wrong gcd", mutant(splx.facets, "g = gcd(*w)", "g = 1")
     yield "column from the wrong index", mutant(
-        splx.facets, "enumerate(zip(*A.rows))", "enumerate(reversed(list(zip(*A.rows))))"
+        splx.facets, "enumerate(zip(*A))", "enumerate(reversed(list(zip(*A))))"
     )
 
     def corrupted_last_row(S):
         A, s = S.lifted_inverse_scaled
-        rows = [list(r) for r in A.rows]
+        rows = [list(r) for r in A]
         rows[-1][0] = -rows[-1][0]
-        S.lifted_inverse_scaled = (IntMatrix(rows), s)
+        S.lifted_inverse_scaled = (tuple(map(tuple, rows)), s)
         return splx.facets(S)
 
     yield "corrupted last row", corrupted_last_row

@@ -156,6 +156,7 @@ def test_bridge_division_condition():
     assert analysis.bridge_division_condition(g.family("cycle", 5))
     assert analysis.bridge_division_condition(g.family("complete", 4))
     assert analysis.bridge_division_condition(g.family("path", 4))
+    assert analysis.bridge_division_condition(g.family("path", 2))  # K2: adj(B) = [[1]]
 
 
 def test_prime_cycle_formula():

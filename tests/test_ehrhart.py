@@ -32,8 +32,8 @@ def brute_fpp_heights(S):
     M = S.lifted
     n = S.n
     # parallelepiped is contained in the box of column-wise coefficient sums
-    los = [sum(min(r[j], 0) for r in M.rows) for j in range(n)]
-    his = [sum(max(r[j], 0) for r in M.rows) for j in range(n)]
+    los = [sum(min(r[j], 0) for r in M) for j in range(n)]
+    his = [sum(max(r[j], 0) for r in M) for j in range(n)]
     counts = [0] * n
     for point in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
         lam = solve_exact(transpose(M), point)
@@ -340,7 +340,7 @@ def test_lattice_points_contain_vertices_and_origin():
     S = splx.build(g.family("cycle", 5))
     pts = set(lattice_points(S))
     assert (0,) * S.dim in pts
-    assert all(tuple(r) in pts for r in S.vertex_matrix.rows)
+    assert all(tuple(r) in pts for r in S.vertex_matrix)
 
 
 def test_dilate_scan_cap():

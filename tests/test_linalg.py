@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import lapsim
 from lapsim import graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
-from lapsim.linalg import IntMatrix
 from oracles import (
     determinant_by_cofactors,
     identity,
@@ -29,52 +28,37 @@ from oracles import (
 
 def random_matrix(rng, n, m=None, lo=-5, hi=5):
     m = n if m is None else m
-    return IntMatrix([[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)])
+    return tuple(tuple(rng.randint(lo, hi) for _ in range(m)) for _ in range(n))
 
 
-# -- IntMatrix basics --------------------------------------------------------
+def column(A, j):
+    return tuple(r[j] for r in A)
 
 
-def test_matrix_shape_and_access():
-    M = IntMatrix([[1, 2, 3], [4, 5, 6]])
-    assert M.shape == (2, 3)
-    assert M.rows[1] == (4, 5, 6)
-    assert M.col(2) == (3, 6)
-    assert transpose(M).shape == (3, 2)
-    assert transpose(transpose(M)) == M
+# -- shapes and products ------------------------------------------------------
+
+# a matrix enters linalg as plain rows; these are not square matrices
+BAD_SHAPES = ([[1, 2], [3]], [[1], [2, 3]], [], [[]], [[1, 2, 3], [4, 5, 6]])
 
 
 def test_matrix_rejects_ragged_and_empty():
-    with pytest.raises(ShapeError):
-        IntMatrix([[1, 2], [3]])
-    with pytest.raises(ShapeError):
-        IntMatrix([])
-
-
-def test_matrix_is_immutable():
-    M = IntMatrix([[1]])
-    with pytest.raises(AttributeError):
-        M.rows = ((2,),)
+    for M in BAD_SHAPES:
+        with pytest.raises(ShapeError):
+            linalg.determinant(M)
+        with pytest.raises(ShapeError):
+            linalg.inverse_scaled(M)
 
 
 def test_matmul_and_identity():
-    M = IntMatrix([[1, 2], [3, 4]])
+    M = ((1, 2), (3, 4))
     I = identity(2)
     assert matmul(M, I) == M
     assert matmul(I, M) == M
-    assert matmul(M, M).rows == ((7, 10), (15, 22))
-
-
-def test_submatrix_and_augment():
-    M = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-    assert M.submatrix([1], [0]).rows == ((2, 3), (8, 9))
-    assert M.augment_column([0, 0, 1]).col(3) == (0, 0, 1)
-    with pytest.raises(ShapeError):
-        M.augment_column([1, 2])
+    assert matmul(M, M) == ((7, 10), (15, 22))
 
 
 def test_mul_row_vector():
-    M = IntMatrix([[1, 0], [0, 2], [3, 1]])
+    M = ((1, 0), (0, 2), (3, 1))
     assert mul_row_vector([1, 1, 1], M) == (4, 3)
     assert mul_row_vector([Fraction(1, 2), 0, 0], M) == (Fraction(1, 2), 0)
 
@@ -83,20 +67,20 @@ def test_mul_row_vector():
 
 
 def test_determinant_small_examples():
-    assert linalg.determinant(IntMatrix([[7]])) == 7
-    assert linalg.determinant(IntMatrix([[1, 2], [3, 4]])) == -2
-    assert linalg.determinant(IntMatrix([[2, -1], [-1, 2]])) == 3
+    assert linalg.determinant([[7]]) == 7
+    assert linalg.determinant([[1, 2], [3, 4]]) == -2
+    assert linalg.determinant([[2, -1], [-1, 2]]) == 3
     assert linalg.determinant(identity(5)) == 1
 
 
 def test_determinant_singular():
-    assert linalg.determinant(IntMatrix([[1, 2], [2, 4]])) == 0
-    assert linalg.determinant(IntMatrix([[0, 0], [1, 1]])) == 0
+    assert linalg.determinant([[1, 2], [2, 4]]) == 0
+    assert linalg.determinant([[0, 0], [1, 1]]) == 0
 
 
 def test_determinant_requires_square():
     with pytest.raises(ShapeError):
-        linalg.determinant(IntMatrix([[1, 2, 3], [4, 5, 6]]))
+        linalg.determinant([[1, 2, 3], [4, 5, 6]])
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -123,35 +107,28 @@ def test_determinant_transpose_invariant():
     ),
 )
 def test_determinant_multiplicative(a, b):
-    A, B = IntMatrix(a), IntMatrix(b)
-    assert linalg.determinant(matmul(A, B)) == linalg.determinant(A) * linalg.determinant(B)
-
-
-def test_minor():
-    M = IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert linalg.minor(M, [0], [0]) == 5 * 10 - 6 * 8
-    assert linalg.minor(M, [2], [2]) == 1 * 5 - 2 * 4
+    assert linalg.determinant(matmul(a, b)) == linalg.determinant(a) * linalg.determinant(b)
 
 
 # -- solving and inverses ----------------------------------------------------
 
 
 def test_solve_exact_small():
-    M = IntMatrix([[2, 1], [1, 3]])
+    M = ((2, 1), (1, 3))
     x = solve_exact(M, [5, 10])
     assert x == (Fraction(1), Fraction(3))
     # verify by substitution
-    assert tuple(sum(r[j] * x[j] for j in range(2)) for r in M.rows) == (5, 10)
+    assert tuple(sum(r[j] * x[j] for j in range(2)) for r in M) == (5, 10)
 
 
 def test_solve_exact_fractional_result():
-    M = IntMatrix([[2, 0], [0, 4]])
+    M = ((2, 0), (0, 4))
     assert solve_exact(M, [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
 
 
 def test_solve_exact_singular_raises():
     with pytest.raises(SingularMatrixError):
-        solve_exact(IntMatrix([[1, 1], [1, 1]]), [1, 2])
+        solve_exact([[1, 1], [1, 1]], [1, 2])
 
 
 def test_solve_exact_random_roundtrip():
@@ -163,7 +140,7 @@ def test_solve_exact_random_roundtrip():
             continue
         b = [rng.randint(-9, 9) for _ in range(4)]
         x = solve_exact(M, b)
-        assert [sum(r[j] * x[j] for j in range(4)) for r in M.rows] == b
+        assert [sum(r[j] * x[j] for j in range(4)) for r in M] == b
         done += 1
 
 
@@ -177,8 +154,8 @@ def test_inverse_scaled():
             continue
         A, s2 = linalg.inverse_scaled(M)
         assert s2 == s
-        n = M.nrows
-        scaled_identity = IntMatrix([[s if i == j else 0 for j in range(n)] for i in range(n)])
+        n = len(M)
+        scaled_identity = tuple(tuple(s if i == j else 0 for j in range(n)) for i in range(n))
         assert matmul(M, A) == scaled_identity
         assert matmul(A, M) == scaled_identity
         done += 1
@@ -186,7 +163,7 @@ def test_inverse_scaled():
 
 def test_inverse_scaled_singular_raises():
     with pytest.raises(SingularMatrixError):
-        linalg.inverse_scaled(IntMatrix([[1, 2], [2, 4]]))
+        linalg.inverse_scaled([[1, 2], [2, 4]])
 
 
 def test_inverse_scaled_matches_solve_oracle():
@@ -206,7 +183,7 @@ def test_inverse_scaled_matches_solve_oracle():
         assert s == linalg.determinant(M)
         for j in range(n):
             e = [s if i == j else 0 for i in range(n)]
-            assert A.col(j) == solve_exact(M, e)
+            assert column(A, j) == solve_exact(M, e)
     assert singular >= 5
 
 
@@ -220,7 +197,7 @@ def test_inverse_scaled_matches_solve_oracle_on_lifted_laplacians():
         assert s == linalg.determinant(M) and abs(s) == n * g.spanning_tree_count(G)
         # column j of A solves M x = s e_j; the last column gives the facets
         for j in {0, rng.randrange(n), n - 1}:
-            assert A.col(j) == solve_exact(M, [s if i == j else 0 for i in range(n)])
+            assert column(A, j) == solve_exact(M, [s if i == j else 0 for i in range(n)])
 
 
 def test_inverse_scaled_with_row_swaps_and_singular_matrices():
@@ -229,7 +206,7 @@ def test_inverse_scaled_with_row_swaps_and_singular_matrices():
     for _ in range(80):
         n = rng.randint(2, 6)
         # mostly zeros, so pivots are often zero and rows must be swapped
-        M = IntMatrix([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+        M = tuple(tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)) for _ in range(n))
         det = determinant_by_cofactors(M)
         assert linalg.determinant(M) == det
         if det == 0:
@@ -237,11 +214,11 @@ def test_inverse_scaled_with_row_swaps_and_singular_matrices():
             with pytest.raises(SingularMatrixError):
                 linalg.inverse_scaled(M)
             continue
-        swapped += M.rows[0][0] == 0
+        swapped += M[0][0] == 0
         A, s = linalg.inverse_scaled(M)
         assert s == det
         for j in range(n):
-            assert A.col(j) == solve_exact(M, [s if i == j else 0 for i in range(n)])
+            assert column(A, j) == solve_exact(M, [s if i == j else 0 for i in range(n)])
     assert swapped >= 10 and singular >= 10
 
 
@@ -251,8 +228,8 @@ def test_inverse_scaled_with_row_swaps_and_singular_matrices():
 # itself returns the consistent pair (-adj M, -det M).
 # Both need a row swap and keep a zero-multiplier row stale to the end.
 SWAP_MATRICES = (
-    IntMatrix([[2, 0, 1], [1, 0, -1], [0, -1, 0]]),
-    IntMatrix([[2, -1, 0, 0], [1, 1, 0, 2], [0, 2, 0, 0], [2, -1, 1, 0]]),
+    ((2, 0, 1), (1, 0, -1), (0, -1, 0)),
+    ((2, -1, 0, 0), (1, 1, 0, 2), (0, 2, 0, 0), (2, -1, 1, 0)),
 )
 LIFTED = tuple(
     splx.build(g.random_connected_graph(7, seed=seed, extra_edges=2)).lifted for seed in (0, 3)
@@ -311,16 +288,22 @@ def test_inverse_mutations_are_caught(monkeypatch, mutation):
 
 
 def test_adjugate_check_raises_under_optimize():
-    # the check is a raise, not an assert, so python -O keeps it
+    # the adjugate and shape checks are raises, not asserts, so python -O keeps them
     code = (
         "import inspect, textwrap\n"
         "from lapsim import linalg\n"
-        "from lapsim.errors import InternalInconsistencyError\n"
+        "from lapsim.errors import InternalInconsistencyError, ShapeError\n"
+        f"for M in {BAD_SHAPES!r}:\n"
+        "    for fn in (linalg.determinant, linalg.inverse_scaled):\n"
+        "        try:\n"
+        "            fn(M)\n"
+        "        except ShapeError:\n"
+        "            print('shape error:', fn.__name__, M)\n"
         "src = textwrap.dedent(inspect.getsource(linalg.inverse_scaled))\n"
         "src = src.replace('[sign * x * prev // b for', '[x * prev // b for')\n"
         "exec(src, vars(linalg))\n"
         "try:\n"
-        "    linalg.inverse_scaled(linalg.IntMatrix([[0, 1], [1, 0]]))\n"
+        "    linalg.inverse_scaled([[0, 1], [1, 0]])\n"
         "except InternalInconsistencyError as exc:\n"
         "    print('raised:', exc)\n"
     )
@@ -333,7 +316,11 @@ def test_adjugate_check_raises_under_optimize():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: adjugate check"), proc.stdout
+    *shape_errors, adjugate = proc.stdout.splitlines()
+    assert shape_errors == [
+        f"shape error: {fn} {M}" for M in BAD_SHAPES for fn in ("determinant", "inverse_scaled")
+    ]
+    assert adjugate.startswith("raised: adjugate check"), proc.stdout
 
 
 # -- unimodularity and primitivity -------------------------------------------
@@ -341,10 +328,10 @@ def test_adjugate_check_raises_under_optimize():
 
 def test_is_unimodular():
     assert is_unimodular(identity(3))
-    assert is_unimodular(IntMatrix([[1, 5], [0, -1]]))
-    assert not is_unimodular(IntMatrix([[2, 0], [0, 1]]))
+    assert is_unimodular([[1, 5], [0, -1]])
+    assert not is_unimodular([[2, 0], [0, 1]])
     with pytest.raises(ShapeError):
-        is_unimodular(IntMatrix([[1, 0]]))
+        is_unimodular([[1, 0]])
 
 
 def test_is_primitive():
@@ -362,8 +349,8 @@ def test_is_primitive():
 
 def group_closure(M, q):
     """The subgroup of (Z/q)^n generated by the rows of M, by breadth-first search."""
-    gens = [tuple(x % q for x in r) for r in M.rows]
-    seen = {(0,) * M.ncols}
+    gens = [tuple(x % q for x in r) for r in M]
+    seen = {(0,) * len(M[0])}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -400,4 +387,4 @@ def test_hermite_basis_mod_spans_the_group():
         assert len(elements) == order
         assert elements == group_closure(M, q)
     with pytest.raises(DomainError):
-        linalg.hermite_basis_mod(IntMatrix([[1]]), 0)
+        linalg.hermite_basis_mod([[1]], 0)

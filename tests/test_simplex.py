@@ -9,14 +9,15 @@ from fractions import Fraction as F
 import pytest
 
 import lapsim
-from lapsim import graph as g, linalg, simplex as splx
+from lapsim import analysis, graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, InternalInconsistencyError, ShapeError
-from lapsim.linalg import IntMatrix
 from oracles import (
     barycentric_of_origin,
     basis_change_matrix,
+    bridge_division_by_minors,
     broken_facets,
     canonical_tree_simplex,
+    cofactor_reflexivity_by_minors,
     facets_by_solves,
     identity,
     is_primitive,
@@ -30,8 +31,8 @@ from oracles import (
 
 def test_basis_change_matrix():
     A = basis_change_matrix(4)
-    assert A.rows == ((1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0))
-    assert linalg.determinant(A.submatrix([3])) == 1
+    assert A == ((1, 1, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0))
+    assert linalg.determinant(A[:3]) == 1
 
 
 def test_build_matches_basis_change_product():
@@ -43,7 +44,7 @@ def test_build_matches_basis_change_product():
 
 def test_build_c5_vertex_matrix():
     S = splx.build(g.family("cycle", 5))
-    assert S.vertex_matrix.rows == (
+    assert S.vertex_matrix == (
         (2, 1, 1, 1),
         (-1, 1, 0, 0),
         (0, -1, 1, 0),
@@ -61,7 +62,7 @@ def test_build_rejects_single_vertex():
 def test_build_column_sums_zero():
     for G in (g.family("complete", 5), g.random_connected_graph(6, seed=2)):
         M = splx.build(G).vertex_matrix
-        assert all(sum(M.col(j)) == 0 for j in range(M.ncols))
+        assert all(sum(c) == 0 for c in zip(*M))
 
 
 def test_volume_is_n_times_kappa():
@@ -105,7 +106,7 @@ def test_origin_always_interior():
     for G in (g.family("path", 2), g.family("cycle", 6), g.family("complete", 5)):
         S = splx.build(G)
         A, s = S.lifted_inverse_scaled
-        assert s % S.n == 0 and A.rows[-1] == (s // S.n,) * S.n
+        assert s % S.n == 0 and A[-1] == (s // S.n,) * S.n
         assert len(splx.facets(S)) == S.n
         assert barycentric_of_origin(S.vertex_matrix) == (F(1, S.n),) * S.n
 
@@ -142,14 +143,14 @@ def test_facet_checks_raise_under_optimize():
 
 def test_origin_not_interior_after_shift():
     M = canonical_tree_simplex(2)
-    shifted = IntMatrix([[x + 5 * (j == 0) for j, x in enumerate(r)] for r in M.rows])
+    shifted = [[x + 5 * (j == 0) for j, x in enumerate(r)] for r in M]
     assert not origin_in_interior(shifted)
     # origin on an edge: barycentric coordinates (1/2, 1/2, 0), not interior
-    assert not origin_in_interior(IntMatrix([[-1, 0], [1, 0], [0, 1]]))
+    assert not origin_in_interior([[-1, 0], [1, 0], [0, 1]])
 
 
 def test_origin_in_interior_singular_matrix():
-    flat = IntMatrix([[0, 0], [1, 0], [2, 0]])  # degenerate, lifted singular
+    flat = [[0, 0], [1, 0], [2, 0]]  # degenerate, lifted singular
     assert not origin_in_interior(flat)
 
 
@@ -164,7 +165,7 @@ def facet_invariants(S):
         assert f.local_index >= 1
         assert is_primitive(f.normal)
         for j in range(S.n):
-            val = sum(a * x for a, x in zip(f.normal, S.vertex_matrix.rows[j]))
+            val = sum(a * x for a, x in zip(f.normal, S.vertex_matrix[j]))
             if j == f.opposite:
                 assert val < f.local_index
             else:
@@ -243,7 +244,7 @@ def test_ell_needs_no_primitivity_test():
     # every vertex row of L_B has an entry +-1, so the primitivity test that
     # used to guard ell never fails; ell still equals its old definition
     def old_ell(S):
-        if not all(is_primitive(r) for r in S.vertex_matrix.rows):
+        if not all(is_primitive(r) for r in S.vertex_matrix):
             return None
         indices = {f.local_index for f in S.facet_list}
         return indices.pop() if len(indices) == 1 else None
@@ -259,7 +260,7 @@ def test_ell_needs_no_primitivity_test():
         graphs.append(g.random_connected_graph(n, seed=7000 + k, extra_edges=extra))
     for G in graphs:
         S = splx.build(G)
-        assert all(1 in map(abs, r) for r in S.vertex_matrix.rows), G
+        assert all(1 in map(abs, r) for r in S.vertex_matrix), G
         assert splx.ell_reflexive_index(S) == old_ell(S), G
 
 
@@ -274,10 +275,40 @@ def test_ell_none_for_mixed_indices():
 
 def test_cofactor_test_matches_dual_solve():
     rng = random.Random(23)
-    for k in range(12):
-        G = g.random_connected_graph(rng.randint(3, 6), seed=100 + k)
+    graphs = [g.family("path", 2)]  # K2: each first minor is 1 x 1, its adjugate [[1]]
+    graphs += [g.random_connected_graph(rng.randint(3, 6), seed=100 + k) for k in range(12)]
+    for G in graphs:
         S = splx.build(G)
         assert splx.cofactor_reflexivity_test(S) == splx.is_reflexive(S)
+
+
+def test_cofactor_criteria_match_their_minor_by_minor_definitions():
+    kinds = ("cycle", "complete", "path", "star")
+    graphs = [g.family(kind, n) for kind in kinds for n in range(3, 10)]
+    graphs += [g.random_connected_graph(n, seed=s) for n in range(3, 9) for s in range(40)]
+    answers = set()
+    for G in graphs:
+        S = splx.build(G)
+        cofactor = splx.cofactor_reflexivity_test(S)
+        bridge = analysis.bridge_division_condition(G)
+        assert cofactor == cofactor_reflexivity_by_minors(S), G
+        assert bridge == bridge_division_by_minors(G), G
+        answers.add((cofactor, bridge))
+    assert len(answers) >= 3
+
+
+def test_cofactor_test_checks_kappa():
+    # every first minor has |det| = volume / n = kappa, as the origin is the centroid
+    S = splx.build(g.family("cycle", 5))
+    S.kappa *= 2
+    with pytest.raises(InternalInconsistencyError, match="kappa is 10"):
+        splx.cofactor_reflexivity_test(S)
+
+
+def test_cofactor_test_does_not_use_the_lifted_adjugate():
+    S = splx.build(g.family("complete", 7))  # reflexive: every first minor is read
+    assert splx.cofactor_reflexivity_test(S)
+    assert "lifted_inverse_scaled" not in vars(S) and "facet_list" not in vars(S)
 
 
 # -- equivalence certificates ------------------------------------------------
@@ -287,13 +318,12 @@ def rotation_certificate(S, perm):
     """Solve for U mapping row i to row perm[i], from the first dim+1 rows."""
     M = S.vertex_matrix
     d = S.dim
-    A = IntMatrix(M.rows[:d])
     cols = []
     for j in range(d):
-        col = solve_exact(A, [M.rows[perm[i]][j] for i in range(d)])
+        col = solve_exact(M[:d], [M[perm[i]][j] for i in range(d)])
         assert all(x.denominator == 1 for x in col)
         cols.append([int(x) for x in col])
-    return IntMatrix(zip(*cols))
+    return tuple(zip(*cols))
 
 
 def test_c4_rotation_certificate():
@@ -310,7 +340,7 @@ def test_certificate_identity_and_rejections():
     assert verify_equivalence_certificate(S, S, I, [0, 1, 2])
     assert not verify_equivalence_certificate(S, S, I, [1, 2, 0])
     assert not verify_equivalence_certificate(
-        S, S, IntMatrix([[2, 0], [0, 1]]), [0, 1, 2]
+        S, S, ((2, 0), (0, 1)), [0, 1, 2]
     )
     with pytest.raises(ShapeError):
         verify_equivalence_certificate(S, S, I, [0, 0, 1])
@@ -320,14 +350,14 @@ def test_certificate_identity_and_rejections():
 
 def test_certificate_accepts_raw_row_lists():
     M1 = [[1, 0], [0, 1], [-1, -1]]
-    U = IntMatrix([[0, 1], [1, 0]])
+    U = ((0, 1), (1, 0))
     M2 = [[0, 1], [1, 0], [-1, -1]]
     assert verify_equivalence_certificate(M1, M2, U, [0, 1, 2])
 
 
 def test_canonical_tree_simplex():
     M = canonical_tree_simplex(3)
-    assert M.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+    assert M == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
     assert origin_in_interior(M)
     with pytest.raises(DomainError):
         canonical_tree_simplex(0)
@@ -337,5 +367,5 @@ def test_tree_simplex_equivalent_to_canonical():
     # the path simplex has the same volume and reflexivity as the canonical one
     S = splx.build(g.family("path", 4))
     C = canonical_tree_simplex(3)
-    assert S.volume == abs(linalg.determinant(C.augment_column([1] * 4)))
+    assert S.volume == abs(linalg.determinant([(*r, 1) for r in C]))
     assert splx.is_reflexive(S)
