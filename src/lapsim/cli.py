@@ -13,6 +13,7 @@ inconsistency or any other unexpected error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -127,16 +128,19 @@ def _render_text(report):
     return "\n".join(lines)
 
 
+def _csv_writer(out):
+    """A CSV writer on ``out`` that has written the header: notes may hold commas."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    return writer
+
+
 def _csv_row(report):
+    """The report's fields in ``CSV_HEADER`` order; the writer leaves None empty."""
     d = report.to_dict()
-    hstar = "" if d["hstar"] is None else ";".join(str(x) for x in d["hstar"])
-    idp = "" if d["idp"] is None else str(d["idp"])
-    ell = "" if d["ell"] is None else str(d["ell"])
-    notes = "; ".join(d["notes"])
-    return (
-        f"{d['graph']['n']},{d['kappa']},{d['volume']},{hstar},"
-        f"{d['reflexive']},{ell},{d['symmetric']},{d['unimodal']},{idp},{notes}"
-    )
+    hstar = d["hstar"] and ";".join(map(str, d["hstar"]))
+    row = {**d, "n": d["graph"]["n"], "hstar": hstar, "notes": "; ".join(d["notes"])}
+    return [row[key] for key in CSV_HEADER.split(",")]
 
 
 def cmd_report(args, out):
@@ -145,7 +149,7 @@ def cmd_report(args, out):
     if fmt == "json":
         out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     elif fmt == "csv":
-        out.write(CSV_HEADER + "\n" + _csv_row(report) + "\n")
+        _csv_writer(out).writerow(_csv_row(report))
     else:
         out.write(_render_text(report) + "\n")
     return EXIT_OK
@@ -173,13 +177,13 @@ def _batch_targets(args):
 
 def cmd_batch(args, out):
     targets = _batch_targets(args)
-    out.write(CSV_HEADER + "\n")
+    writer = _csv_writer(out)
     for n, seed in targets:
         try:
             row = _csv_row(_analyze(args, _resolve_graph(args, n=n, seed=seed)))
         except (DomainError, FeasibilityError) as exc:  # this row's input, not a bug
-            row = f"{n if n is not None else ''},,,,,,,,,error: {exc}"
-        out.write(row + "\n")
+            row = [n, *[None] * 8, f"error: {exc}"]
+        writer.writerow(row)
     return EXIT_OK
 
 

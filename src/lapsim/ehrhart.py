@@ -46,10 +46,11 @@ class HStarVector:
     def __post_init__(self):
         entries = tuple(int(x) for x in self.entries)
         object.__setattr__(self, "entries", entries)
+        # only a bug makes either: every h* starts with 1 and is nonnegative
         if not entries or entries[0] != 1:
-            raise DomainError("h*-vector must start with 1")
+            raise InternalInconsistencyError("h*-vector must start with 1")
         if any(x < 0 for x in entries):
-            raise DomainError("h*-vector entries must be nonnegative")
+            raise InternalInconsistencyError("h*-vector entries must be nonnegative")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}")
 
@@ -193,17 +194,17 @@ def hstar_from_counts(counts) -> HStarVector:
 
 
 def _normalize_ineq(coeffs, rhs):
-    """Tighten c.x <= r over the integers; None means trivially true."""
+    """Tighten c.x <= r over the integers; None means trivially true.
+
+    Every dilate tS holds the lattice point t v_0, and every inequality
+    derived from the facets holds there, so 0 <= rhs < 0 is a bug.
+    """
     g = gcd(*coeffs)
     if g == 0:
         if rhs < 0:
-            raise _Infeasible
+            raise InternalInconsistencyError(f"dilate scan met the empty inequality 0 <= {rhs}")
         return None
     return (tuple(c // g for c in coeffs), rhs // g)
-
-
-class _Infeasible(Exception):
-    pass
 
 
 def _fm_eliminate(ineqs, k):
@@ -212,19 +213,19 @@ def _fm_eliminate(ineqs, k):
     Each inequality is (coeffs, rhs, mask), where the mask holds the facets
     whose nonnegative combination gives its coefficients.  Chernikov's rule
     ("The convolution of finite systems of linear inequalities", 1965) drops
-    every combination of more than k + 1 facets, after the ``_Infeasible``
-    check.  The multipliers lambda >= 0 that cancel k variables form a
-    pointed cone whose extreme rays have at most k + 1 nonzero entries, and
-    Chernikov showed that the rule keeps an inequality for each of them; so
-    over the reals every dropped inequality is implied by the kept ones.
-    Rounding a right-hand side down over the integers (``_normalize_ineq``)
-    only tightens a kept inequality, and each one still holds at every
-    lattice point of the dilate.  So every system is a valid relaxation of
-    the projected lattice points, and it stays bounded, since boundedness
-    depends on the coefficients alone.  A count can never depend on the
-    rule: a system that lost a bound makes ``_scan_intervals`` raise.  Of
-    the inequalities with equal coefficients and equal masks only the
-    smallest right-hand side is kept.
+    every combination of more than k + 1 facets, after ``_normalize_ineq``
+    has checked it.  The multipliers lambda >= 0 that cancel k variables
+    form a pointed cone whose extreme rays have at most k + 1 nonzero
+    entries, and Chernikov showed that the rule keeps an inequality for
+    each of them; so over the reals every dropped inequality is implied by
+    the kept ones.  Rounding a right-hand side down over the integers
+    (``_normalize_ineq``) only tightens a kept inequality, and each one
+    still holds at every lattice point of the dilate.  So every system is a
+    valid relaxation of the projected lattice points, and it stays bounded,
+    since boundedness depends on the coefficients alone.  A count can never
+    depend on the rule: a system that lost a bound makes ``_scan_intervals``
+    raise.  Of the inequalities with equal coefficients and equal masks only
+    the smallest right-hand side is kept.
     """
     pos, neg, out = [], [], {}
 
@@ -264,7 +265,7 @@ def _fm_systems(S: LaplacianSimplex, t: int):
 
     systems[k] has k eliminations behind it and bounds the first d - k
     coordinates; systems[0] is the facet description a_i . x <= t * c_i,
-    with facet i as mask bit i.  None if a system is infeasible.
+    with facet i as mask bit i.
     """
     order = _scan_order(S)
     system = []
@@ -273,11 +274,8 @@ def _fm_systems(S: LaplacianSimplex, t: int):
         if norm:
             system.append((*norm, 1 << i))
     systems = [system]
-    try:
-        for k in range(1, S.dim):
-            systems.append(_fm_eliminate(systems[-1], k))
-    except _Infeasible:
-        return None
+    for k in range(1, S.dim):
+        systems.append(_fm_eliminate(systems[-1], k))
     return systems
 
 
@@ -301,8 +299,6 @@ def _scan_intervals(S: LaplacianSimplex, t: int, cap: int):
     if t < 0:
         raise DomainError("dilate factor must be nonnegative")
     systems = _fm_systems(S, t)
-    if systems is None:
-        return
     # the inequalities that bound x_j from below and from above, as
     # (coefficients of x_0..x_{j-2}, coefficient of x_{j-1}, r, |c_j|);
     # x_0 has no prefix, and only r and |c_0| are read for it

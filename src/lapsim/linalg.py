@@ -11,6 +11,7 @@ qZ^n.  Nothing here ever touches floating point.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
@@ -192,53 +193,51 @@ def group_packing(q: int, n: int) -> GroupPacking:
     return GroupPacking(n, width, ones, ones << (width - 1))
 
 
-def odometer_steps(basis, q):
-    """The vector an odometer over ``basis`` adds when it raises each digit.
+def group_levels(basis, q, packing):
+    """The group generated by ``basis`` modulo q, as lists of packed ints by height.
 
-    ``basis`` holds pairs (b_j, m_j), digit j running over [0, m_j).  Raising
-    digit j resets every later digit i from m_i - 1 to 0, so the step is b_j
-    plus the undo vector (1 - m_i) b_i of every later i, reduced modulo q.
-    Returns the pairs (step_j, m_j).
+    ``basis`` holds cyclic factors (b_j, m_j), b_j of order m_j with entries
+    in [0, q) summing to a multiple of q.  Starting from {0}, every element
+    found before factor j is stepped m_j - 1 times by packed b_j, so the
+    levels hold each c_0 b_0 + ... + c_k b_k mod q (0 <= c_j < m_j) once,
+    packed by ``packing``, at height sum(r) / q.  After each add, adding
+    packed 2^(w-1) - q sets the guard bit of exactly the fields that reached
+    q, and q is taken out of those fields (Lamport, "Multiple byte processing
+    with full-word instructions", 1975).  Each wrap lowers the coordinate sum
+    by q, so the height moves by the step's own height minus the wraps.
+
+    Every new element is checked, raising ``InternalInconsistencyError``
+    even under python -O: each field lies in [0, q), by a guard-bit test
+    with a constant of its own that also catches a borrow; 0 <= height < n
+    before the height picks a level; and the coordinate sum is q * height.
     """
-    steps = []
-    undo = [0] * len(basis[0][0]) if basis else []
-    for b, m in reversed(basis):
-        steps.append((tuple((x + y) % q for x, y in zip(b, undo)), m))
-        undo = [y + (1 - m) * x for x, y in zip(b, undo)]
-    return steps[::-1]
-
-
-def group_walk(steps, q, packing):
-    """Yield (height, r) for every digit vector of an odometer over ``steps``.
-
-    ``steps`` holds pairs (s_j, m_j) from ``odometer_steps``, vectors with
-    entries in [0, q) that sum to a multiple of q, so r runs over
-    c_0 b_0 + ... + c_k b_k mod q.  r is yielded packed by ``packing`` and its
-    height is sum(r) / q.  The last digit turns fastest, and each step adds
-    one packed s_j.  Adding packed 2^(w-1) - q then sets the guard bit of
-    exactly the fields that reached q, and q is taken out of those fields, so
-    every field stays below q with no per-coordinate work (Lamport, "Multiple
-    byte processing with full-word instructions", 1975).  Each such wrap
-    lowers the coordinate sum by q, so the height moves by the step's own
-    height minus the number of wraps.
-    """
-    guard, top = packing.guard, packing.width - 1
+    n, width = packing.n, packing.width
+    ones, guard, top = packing.ones, packing.guard, width - 1
+    # the wrap: a field below 2^(w-1) reaches its guard bit iff it is >= q
     over = guard - q * packing.ones
-    packed = [packing.pack(s) for s, _ in steps]
-    rises = [sum(s) // q for s, _ in steps]
-    last = [m - 1 for _, m in steps]
-    digits = [0] * len(steps)
-    cur = height = 0
-    while True:
-        yield height, cur
-        j = len(steps) - 1
-        while j >= 0 and digits[j] == last[j]:
-            digits[j] = 0
-            j -= 1
-        if j < 0:
-            return
-        digits[j] += 1
-        cur += packed[j]
-        wrapped = (cur + over) & guard
-        cur -= (wrapped >> top) * q
-        height += rises[j] - wrapped.bit_count()
+    # the range check, its own constant so that a wrong wrap cannot hide
+    outside = packing.guard - q * ones
+    shift, field = (n - 1) * width, (1 << width) - 1
+    levels = [[0]] + [[] for _ in range(n - 1)]
+    for b, m in basis:
+        step, rise = packing.pack(b), sum(b) // q
+        found = [islice(level, len(level)) for level in levels]
+        for start, level in enumerate(found):
+            for cur in level:
+                height = start
+                for _ in range(m - 1):
+                    cur += step
+                    wrapped = (cur + over) & guard
+                    cur -= (wrapped >> top) * q
+                    height += rise - wrapped.bit_count()
+                    if (cur | cur + outside) & guard:
+                        raise InternalInconsistencyError(
+                            "group element with a field outside [0, q)"
+                        )
+                    total = ((cur * ones) >> shift) & field  # the top field of cur * ones
+                    if not 0 <= height < n or total != q * height:
+                        raise InternalInconsistencyError(
+                            f"parallelepiped point at height {height} has coordinate sum {total}"
+                        )
+                    levels[height].append(cur)
+    return levels

@@ -10,8 +10,9 @@ adjugate of the lifted matrix [L_B | 1], computed once per simplex; kappa
 (its own determinant, which the volume is checked against) and the cofactor
 reflexivity test do not use it.  The facets and the parallelepiped points
 are each computed once and cached on the simplex, so reflexivity and
-``ell`` share one facet list, and the h* walk and the IDP decision share one
-walk, stored by height and checked where it is built (``fpp_levels``).
+``ell`` share one facet list, and h* and the IDP decision share one group,
+built by ``linalg.group_levels`` one cyclic factor at a time, checked point
+by point as it grows and stored by height (``fpp_levels``).
 """
 
 from __future__ import annotations
@@ -85,60 +86,40 @@ class LaplacianSimplex:
 
     @cached_property
     def fpp_levels(self):
-        """The n*kappa parallelepiped points by height, walked once.
+        """The n*kappa parallelepiped points by height, built once.
 
         levels[h] is a tuple of the packed group elements r at height h.
         With A = adj(M) and q = |det M|, a point r M / q with 0 <= r < q
         corresponds to r in the group Lambda = (Z^n A + qZ^n) / qZ^n, and its
-        height is sum(r) / q.  An odometer over a modular echelon basis b_j of
-        Lambda visits each element once, kept as one int packed by
-        ``self.packing``; no point's coordinates are formed.
+        height is sum(r) / q.  A modular echelon basis splits Lambda into
+        cyclic factors (b_j, m_j), and ``linalg.group_levels`` builds it one
+        factor at a time, each element one packed add from an element
+        already checked, kept as one int packed by ``self.packing``; no
+        point's coordinates are formed.
 
-        Integrality is checked once per odometer step s_j, the vector the
-        walk adds when it raises digit j (b_j plus undo vectors of the later
-        b_i): s_j has entries in [0, q) and s_j M = 0 (mod q) in every column.
-        Between steps the walk only takes q out of single fields, so every
-        element it yields is congruent modulo q to a sum of steps, and r M / q
-        is integral.  That needs every packed field to stay in [0, q), with
-        no carry or borrow between fields; the per-point checks guard it, run
-        for every consumer and raise even under ``python -O``: each field is
-        below q (one add, one OR and one AND against the guard bits, which
-        also catch a field that borrowed), and the height satisfies
-        0 <= height < n before it picks a level and is derived again from the
-        packed coordinate sum, which must equal q * height.  Then the levels
-        must hold n*kappa ints, all distinct: equal ints have equal
-        coordinate sums, so a repeated int lies within one level.  Callers go
-        through ``ehrhart.fpp_points``, which checks the size cap before
-        anything is walked.
+        Integrality is checked once per basis vector: b_j has entries in
+        [0, q) and b_j M = 0 (mod q) in every column.  The walk only adds
+        basis vectors and takes q out of single fields, so every element is
+        congruent modulo q to a sum of basis vectors and r M / q is integral,
+        provided every field stays in [0, q) with no carry or borrow between
+        fields: ``group_levels`` checks that, the height and the coordinate
+        sum of every element, also under ``python -O``.  Then the levels must
+        hold n*kappa ints, all distinct: equal ints have equal coordinate
+        sums, so a repeated int lies within one level.  Callers go through
+        ``ehrhart.fpp_points``, which checks the size cap first.
         """
         adj = self.lifted_inverse_scaled[0]  # lifted @ adj == det(lifted) * I
-        q, n = self.volume, self.n
+        q = self.volume
         basis = [
             (b, q // b[j])
             for j, b in enumerate(linalg.hermite_basis_mod(adj, q))
             if b[j] != q
         ]
-        steps = linalg.odometer_steps(basis, q)
         cols = list(zip(*self.lifted))
-        for step, _ in steps:
-            if not all(0 <= x < q for x in step) or any(
-                sum(map(mul, step, c)) % q for c in cols
-            ):
-                raise InternalInconsistencyError(f"odometer step {step} is not in the group")
-        packing = self.packing
-        ones, guard = packing.ones, packing.guard
-        over = guard - q * ones  # a field below 2^(w-1) reaches its guard bit iff >= q
-        shift, field = (n - 1) * packing.width, (1 << packing.width) - 1
-        levels = [[] for _ in range(n)]
-        for height, r in linalg.group_walk(steps, q, packing):
-            if (r | r + over) & guard:
-                raise InternalInconsistencyError("group element with a field outside [0, q)")
-            total = ((r * ones) >> shift) & field  # the top field of r * ones
-            if not 0 <= height < n or total != q * height:
-                raise InternalInconsistencyError(
-                    f"parallelepiped point at height {height} has coordinate sum {total}"
-                )
-            levels[height].append(r)
+        for b, _ in basis:
+            if not all(0 <= x < q for x in b) or any(sum(map(mul, b, c)) % q for c in cols):
+                raise InternalInconsistencyError(f"basis vector {b} is not in the group")
+        levels = linalg.group_levels(basis, q, self.packing)
         if sum(map(len, levels)) != q or sum(len(set(level)) for level in levels) != q:
             raise InternalInconsistencyError("parallelepiped enumeration lost points")
         return tuple(map(tuple, levels))

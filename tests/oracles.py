@@ -342,6 +342,17 @@ def write_edge_list(G, path):
         fh.write(format_edge_list(G))
 
 
+def narrow_group_packing(q, n, _packing=linalg.group_packing):
+    """``linalg.group_packing`` with fields one bit too narrow to hold q(n - 1).
+
+    Patched in for ``linalg.group_packing``, it breaks the walk of every
+    simplex with n >= 3, and the walk's height check must catch it.
+    """
+    w = _packing(q, n).width - 1
+    ones = sum(1 << (w * i) for i in range(n))
+    return linalg.GroupPacking(n, w, ones, ones << (w - 1))
+
+
 def mutant(fn, old, new):
     """``fn`` recompiled from its source with ``old`` replaced by ``new``.
 

@@ -116,13 +116,15 @@ def test_fpp_cap_bounds_every_walk(monkeypatch):
 
 
 def test_walk_is_checked_for_every_consumer(monkeypatch):
-    original = linalg.group_walk
+    original = linalg.group_levels
 
-    def repeat_one(steps, q, packing):
-        walk = list(original(steps, q, packing))
-        return iter(walk[:-1] + [walk[1]])  # one element twice, the last one lost
+    def repeat_one(basis, q, packing):
+        levels = original(basis, q, packing)
+        level = max(levels, key=len)
+        level[-1] = level[0]  # one element twice, another one lost
+        return levels
 
-    monkeypatch.setattr(linalg, "group_walk", repeat_one)
+    monkeypatch.setattr(linalg, "group_levels", repeat_one)
     with pytest.raises(InternalInconsistencyError, match="lost points"):
         analysis.is_idp(splx.build(g.family("cycle", 6)))
     with pytest.raises(InternalInconsistencyError, match="lost points"):

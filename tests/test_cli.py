@@ -1,5 +1,6 @@
 """Command-line interface: formats, batch runs, exit codes, caps."""
 
+import csv
 import io
 import json
 import os
@@ -10,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapsim import cli, linalg
+from lapsim import cli, ehrhart, linalg
 from lapsim.errors import LapsimError
 from lapsim.graph import FAMILIES, MAX_N, Graph, family
-from oracles import write_edge_list
+from oracles import narrow_group_packing, write_edge_list
 
 
 def run(argv):
@@ -53,6 +54,35 @@ def test_report_csv_format():
     fields = row.split(",")
     assert fields[0] == "4" and fields[1] == "4" and fields[2] == "16"
     assert fields[3].count(";") == 3  # h* joined by semicolons
+
+
+def test_csv_rows_keep_commas_in_their_field():
+    # notes and error messages hold commas: each row must still parse to 10 fields
+    for argv in (
+        ["--family", "cycle", "--n", "6", "--fpp-cap", "1", "--format", "csv", "report"],
+        ["--family", "complete", "--n-range", f"{MAX_N + 100}:{MAX_N + 100}", "batch"],
+    ):
+        code, text = run(argv)
+        assert code == 0
+        header, row = csv.reader(io.StringIO(text))
+        assert ",".join(header) == cli.CSV_HEADER
+        assert len(row) == 10 and "," in row[-1], row
+
+
+def test_inconsistent_hstar_exits_3(monkeypatch, capsys):
+    # an h* that does not start with 1 is a bug, not bad input
+    count = ehrhart.count_dilate_points
+    monkeypatch.setattr(
+        ehrhart, "count_dilate_points", lambda S, t, **kw: count(S, t, **kw) + (t == 0)
+    )
+    for command in ("report", "batch"):
+        code, text = run(
+            ["--family", "cycle", "--n", "4", "--strategy", "dilate_interpolation", command]
+        )
+        assert code == cli.EXIT_INCONSISTENT
+        assert "error" not in text
+        err = capsys.readouterr().err
+        assert err.startswith("internal inconsistency: ") and err.count("\n") == 1
 
 
 def test_report_strategy_override():
@@ -123,8 +153,7 @@ def test_batch_keeps_input_errors_in_their_row():
 
 
 def test_batch_exits_3_on_a_corrupted_walk(monkeypatch, capsys):
-    walk = linalg.group_walk
-    monkeypatch.setattr(linalg, "group_walk", lambda *a: ((h, r + 1) for h, r in walk(*a)))
+    monkeypatch.setattr(linalg, "group_packing", narrow_group_packing)
     code, text = run(["--family", "cycle", "--n-range", "6:6", "batch"])
     assert code == cli.EXIT_INCONSISTENT
     assert "error" not in text

@@ -1,5 +1,6 @@
 """h*-vectors, parallelepiped enumeration, and dilate counting oracles."""
 
+import dataclasses
 import itertools
 import os
 import random
@@ -58,9 +59,10 @@ def test_hstar_vector_validation():
     assert h.total == 4
     assert list(h) == [1, 2, 1]
     assert h[1] == 2 and len(h) == 3
-    with pytest.raises(DomainError):
+    # only a bug can make an h* that starts above 1 or has a negative entry
+    with pytest.raises(InternalInconsistencyError):
         ehrhart.HStarVector((2, 1), "generic_snf")
-    with pytest.raises(DomainError):
+    with pytest.raises(InternalInconsistencyError):
         ehrhart.HStarVector((1, -1), "generic_snf")
     with pytest.raises(DomainError):
         ehrhart.HStarVector((1, 1), "nope")
@@ -157,30 +159,28 @@ def test_walk_matches_complete_closed_form():
         assert walked.entries == ehrhart.hstar_complete(n).entries
 
 
-# Each mutation breaks the packed walk; a check in fpp_levels must catch it for
-# both consumers.  An undo vector that is some other multiple of b_i is not
-# among them: it changes the digits by a triangular shear, so the walk still
-# visits every group element once and every answer stays right.
+# Each mutation breaks the packed walk; a check in group_levels or fpp_levels
+# must catch it for both consumers.
 WALK_MUTATIONS = {
-    "undo vector left unreduced": (
-        linalg.odometer_steps,
-        "tuple((x + y) % q for x, y in zip(b, undo))",
-        "tuple(x + y for x, y in zip(b, undo))",
-    ),
-    "undo vector reduced modulo q - 1": (
-        linalg.odometer_steps,
-        "tuple((x + y) % q for x, y in zip(b, undo))",
-        "tuple((x + y) % (q - 1) for x, y in zip(b, undo))",
-    ),
     "missing wrap subtract": (
-        linalg.group_walk,
+        linalg.group_levels,
         "cur -= (wrapped >> top) * q",
         "pass",
     ),
     "wrap test one below q": (
-        linalg.group_walk,
+        linalg.group_levels,
         "over = guard - q * packing.ones",
         "over = guard - (q - 1) * packing.ones",
+    ),
+    "wrap test one above q": (
+        linalg.group_levels,
+        "over = guard - q * packing.ones",
+        "over = guard - (q + 1) * packing.ones",
+    ),
+    "height ignores wraps": (
+        linalg.group_levels,
+        "height += rise - wrapped.bit_count()",
+        "height += rise",
     ),
     "field one bit too narrow": (
         linalg.group_packing,
@@ -194,7 +194,7 @@ WALK_MUTATIONS = {
 def test_walk_mutations_are_caught(monkeypatch, mutation):
     fn, old, new = WALK_MUTATIONS[mutation]
     monkeypatch.setattr(linalg, fn.__name__, mutant(fn, old, new))
-    # both groups need two odometer digits and reach a coordinate q - 1, so
+    # both groups have two cyclic factors and reach a coordinate q - 1, so
     # every mutation above changes their walks
     for seed in (0, 3):
         G = g.random_connected_graph(7, seed=seed, extra_edges=3)
@@ -209,20 +209,20 @@ def test_corrupted_walk_raises_under_optimize():
     code = (
         "from lapsim import ehrhart, family, linalg, simplex as splx\n"
         "from lapsim.errors import InternalInconsistencyError\n"
-        "walk = linalg.group_walk\n"
-        "linalg.group_walk = lambda *a: ((h, r + 1) for h, r in walk(*a))\n"
+        "from oracles import narrow_group_packing\n"
+        "linalg.group_packing = narrow_group_packing\n"
         "try:\n"
         "    ehrhart.hstar(splx.build(family('cycle', 6)), strategy='generic_snf')\n"
         "except InternalInconsistencyError as exc:\n"
         "    print('raised:', exc)\n"
     )
     src = os.path.dirname(os.path.dirname(lapsim.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: parallelepiped point at height 0"), proc.stdout
+    assert proc.stdout.startswith("raised: parallelepiped point at height "), proc.stdout
 
 
 def test_fpp_cap():
@@ -432,6 +432,35 @@ def test_overpruned_elimination_is_unbounded(monkeypatch):
     monkeypatch.setattr(ehrhart, "_fm_eliminate", over)
     with pytest.raises(InternalInconsistencyError, match="unbounded"):
         ehrhart.count_dilate_points(splx.build(pendant_triangle(6)), 2)
+
+
+def test_infeasible_inequality_raises():
+    # every dilate holds t * v_0, so no derived inequality reads 0 <= rhs < 0;
+    # facets that give C_5 the local index -1 make the dilates empty
+    S = splx.build(g.family("cycle", 5))
+    S.facet_list = tuple(dataclasses.replace(f, local_index=-1) for f in S.facet_list)
+    assert ehrhart.count_dilate_points(S, 0) == 1
+    for t in (1, 2):
+        with pytest.raises(InternalInconsistencyError, match="empty inequality"):
+            ehrhart.count_dilate_points(S, t)
+
+
+def test_walk_matches_oracles_on_every_small_graph():
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        G for G in nx.graph_atlas_g() if 2 <= G.number_of_nodes() <= 5 and nx.is_connected(G)
+    ]
+    assert len(graphs) == 30  # A001349: 1 + 2 + 6 + 21 connected graphs, n = 2..5
+    for G in graphs:
+        S = splx.build(g.Graph(G.number_of_nodes(), [(u + 1, v + 1) for u, v in G.edges]))
+        walked = ehrhart.hstar(S, strategy="generic_snf")
+        assert walked.entries == ehrhart.hstar(S, strategy="dilate_interpolation").entries
+        # fpp_point raises unless r M is divisible by q; its last coordinate is the height
+        points = [
+            (fpp_point(S, r), h) for h, level in enumerate(ehrhart.fpp_points(S)) for r in level
+        ]
+        assert all(p[-1] == h for p, h in points)
+        assert len({p for p, _ in points}) == S.volume
 
 
 def test_hstar_from_counts_roundtrip():
