@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
-from . import ehrhart, linalg, simplex as splx
+from . import ehrhart, simplex as splx
 from .graph import (
     Graph,
     bridge,
@@ -119,11 +119,12 @@ def bridge_division_condition(G: Graph) -> bool:
 
     L_B(i, n | j) is B = L_B without row n, with row i and column j deleted,
     so its determinant is, up to sign, entry (j, i) of adj(B): all of them
-    come from one checked ``linalg.inverse_scaled``.
+    come from the one checked adjugate that the cofactor reflexivity test
+    reads, with |det B| = kappa checked.  This is the n A half of that test.
     """
     S = splx.build(G)
     kappa, n = S.kappa, S.n
-    adj, _ = linalg.inverse_scaled(S.vertex_matrix[:-1])
+    adj = splx._checked_last_minor_adjugate(S)
     return not any(n * x % kappa for row in adj for x in row)
 
 
@@ -132,8 +133,9 @@ def verify_prime_cycle_formula(n: int) -> bool:
     if n < 3 or n % 2 == 0:
         raise DomainError("odd n >= 3 required")
     h = ehrhart.hstar_cycle_closed_form(n).entries
-    fac = _factorize(n)
-    divisor = n // min(fac)  # largest proper divisor of n
+    # the largest proper divisor of n: n is odd, so its least prime factor is
+    # its least divisor >= 3
+    divisor = n // next(d for d in range(3, n + 1, 2) if n % d == 0)
     m = (n - divisor) // 2
     if list(h[:m]) != [1] * m or list(h[n - m :]) != [1] * m:
         return False
@@ -148,19 +150,6 @@ def verify_prime_cycle_formula(n: int) -> bool:
         if list(h) != expected:
             return False
     return True
-
-
-def _factorize(n):
-    fac = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        fac[n] = fac.get(n, 0) + 1
-    return fac
 
 
 def analyze(G: Graph, strategy=None, fpp_cap: int = ehrhart.DEFAULT_FPP_CAP) -> PropertyReport:

@@ -124,7 +124,7 @@ def _render_text(report):
         f"idp         {d['idp']}",
     ]
     if d["notes"]:
-        lines.append(f"notes       {d['notes']}")
+        lines.append(f"notes       {'; '.join(d['notes'])}")
     return "\n".join(lines)
 
 
@@ -141,6 +141,16 @@ def _csv_row(report):
     hstar = d["hstar"] and ";".join(map(str, d["hstar"]))
     row = {**d, "n": d["graph"]["n"], "hstar": hstar, "notes": "; ".join(d["notes"])}
     return [row[key] for key in CSV_HEADER.split(",")]
+
+
+def _check_options(args):
+    """Reject option values that would otherwise be ignored or silently changed."""
+    if args.fpp_cap < 0:
+        raise DomainError(f"--fpp-cap must be >= 0, got {args.fpp_cap}")
+    if args.count < 1:
+        raise DomainError(f"--count must be >= 1, got {args.count}")
+    if args.command == "batch" and args.format not in (None, "csv"):
+        raise DomainError(f"batch writes CSV only, not --format {args.format}")
 
 
 def cmd_report(args, out):
@@ -170,7 +180,7 @@ def _batch_targets(args):
         raise DomainError("batch needs --n-range, --n, or --edge-list")
     targets = []
     for n in ns:
-        for rep in range(max(1, args.count)):
+        for rep in range(args.count):
             targets.append((n, args.seed + rep))
     return targets
 
@@ -203,6 +213,7 @@ def main(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         if args.command == "report":
             return cmd_report(args, out)
         if args.command == "batch":

@@ -7,12 +7,14 @@ computed as row prefix sums of L.
 Volume, the barycentric coordinates of the origin, the integer facets and
 the lattice points of the fundamental parallelepiped come from one checked
 adjugate of the lifted matrix [L_B | 1], computed once per simplex; kappa
-(its own determinant, which the volume is checked against) and the cofactor
-reflexivity test do not use it.  The facets and the parallelepiped points
-are each computed once and cached on the simplex, so reflexivity and
-``ell`` share one facet list, and h* and the IDP decision share one group,
-built by ``linalg.group_levels`` one cyclic factor at a time, checked point
-by point as it grows and stored by height (``fpp_levels``).
+(its own determinant, which the volume is checked against) does not use it,
+and neither does the cofactor reflexivity test, which reads both cofactor
+criteria off one checked adjugate of L_B without its last row.  The facets
+and the parallelepiped points are each computed once and cached on the
+simplex, so reflexivity and ``ell`` share one facet list, and h* and the IDP
+decision share one group, built by ``linalg.group_levels`` one cyclic factor
+at a time, checked point by point as it grows and stored by height
+(``fpp_levels``).
 """
 
 from __future__ import annotations
@@ -223,25 +225,41 @@ def ell_reflexive_index(S: LaplacianSimplex):
     return indices.pop()
 
 
+def _checked_last_minor_adjugate(S: LaplacianSimplex):
+    """adj(B) for B = L_B without its last row, checked for the cofactor identity.
+
+    Both cofactor criteria are read off this one matrix A.  The rows of L_B
+    sum to zero, so L_B without row i < n - 1 is E_i B up to the order of its
+    rows, where E_i is the identity with row i replaced by -(1, ..., 1).
+    det E_i = -1 and E_i (1 - n e_i) = 1, so the row sums of adj(L_B without
+    row i) are +-(A 1 - n A e_i); reordering the rows of a matrix only
+    permutes the columns of its adjugate, which leaves its row sums alone.
+    Hence kappa divides the row sums of the adjugate of every first minor iff
+    it divides every entry of A 1 and every entry of n A, and |det| is the
+    same for every first minor.  The premise (the rows of L_B sum to zero,
+    O(n^2)) and |det B| = kappa are checked, each raising
+    ``InternalInconsistencyError``, also under python -O.
+    """
+    kappa, rows = S.kappa, S.vertex_matrix
+    if any(map(sum, zip(*rows))):
+        raise InternalInconsistencyError("the rows of L_B do not sum to zero")
+    adj, s = linalg.inverse_scaled(rows[:-1])
+    if abs(s) != kappa:
+        raise InternalInconsistencyError(
+            f"L_B without its last row has determinant {s}, kappa is {kappa}"
+        )
+    return adj
+
+
 def cofactor_reflexivity_test(S: LaplacianSimplex) -> bool:
     """Reflexivity via divisibility of cofactor column sums.
 
-    kappa must divide every cofactor column sum of each first minor B of the
-    vertex matrix (one row deleted).  adj(B) is the transposed cofactor
-    matrix, so these sums are the row sums of adj(B), from one checked
-    ``linalg.inverse_scaled`` per B, O(n^4) in all.  B is never the lifted
+    kappa must divide every cofactor column sum of each first minor of the
+    vertex matrix (one row deleted).  By the identity in
+    ``_checked_last_minor_adjugate`` that holds iff kappa divides every row
+    sum and every entry of n A: one elimination, O(n^3), never of the lifted
     matrix, so the test is independent of the adjugate behind the facets.
-    The origin is the centroid, so |det B| = volume / n = kappa for every B;
-    a B that breaks this raises ``InternalInconsistencyError``, also under
-    python -O.
     """
-    kappa, rows = S.kappa, S.vertex_matrix
-    for i in range(S.n):
-        adj, s = linalg.inverse_scaled(rows[:i] + rows[i + 1 :])
-        if abs(s) != kappa:
-            raise InternalInconsistencyError(
-                f"first minor without row {i} has determinant {s}, kappa is {kappa}"
-            )
-        if any(sum(row) % kappa for row in adj):
-            return False
-    return True
+    kappa, n = S.kappa, S.n
+    adj = _checked_last_minor_adjugate(S)
+    return not any(sum(row) % kappa or any(n * x % kappa for x in row) for row in adj)

@@ -8,9 +8,10 @@ the library itself runs none of these methods, so agreement is a real
 cross-check.  The helpers after them (matrix and row-vector products, row
 and column deletion, primitivity, unimodularity, the origin's barycentric
 coordinates from a fresh adjugate, the lattice points of a dilate from the
-dilate scan's intervals, equivalence certificates, the edge-list writer, and
-``mutant`` and ``broken_facets`` for the mutation tests) have no caller in
-the library and live here for the tests alone.
+dilate scan's intervals, equivalence certificates, the edge-list writer, a
+simplex with its last row shifted, and ``mutant``, ``broken_cofactor_tests``
+and ``broken_facets`` for the mutation tests) have no caller in the library
+and live here for the tests alone.
 
 A matrix is a tuple of int rows, as in the library.
 """
@@ -360,10 +361,28 @@ def mutant(fn, old, new):
     broken on purpose.
     """
     src = textwrap.dedent(inspect.getsource(fn))
-    assert src.count(old) == 1, old
+    if src.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {src.count(old)} times in {fn.__name__}, not once")
     namespace = dict(vars(inspect.getmodule(fn)))
     exec(compile(src.replace(old, new), f"<mutant of {fn.__name__}>", "exec"), namespace)
     return namespace[fn.__name__]
+
+
+def with_shifted_last_row(S):
+    """S with e_1 added to its last vertex: the rows no longer sum to zero."""
+    *rows, (x, *rest) = S.vertex_matrix
+    return splx.LaplacianSimplex(S.graph, (*rows, (x + 1, *rest)), S.kappa)
+
+
+def broken_cofactor_tests():
+    """(name, cofactor reflexivity test) with one half of its identity dropped.
+
+    Each half decides some connected graph with n <= 6 on its own, so
+    comparing either mutant with ``cofactor_reflexivity_by_minors`` must fail.
+    """
+    test = splx.cofactor_reflexivity_test
+    yield "no row sums", mutant(test, "sum(row) % kappa or ", "")
+    yield "no n A", mutant(test, " or any(n * x % kappa for x in row)", "")
 
 
 def broken_facets():

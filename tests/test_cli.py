@@ -46,6 +46,31 @@ def test_report_text_format():
     assert "reflexive   True" in text
 
 
+def test_report_text_notes_are_one_joined_line():
+    argv = ["--family", "cycle", "--n", "6", "--fpp-cap", "1", "--format", "text", "report"]
+    code, text = run(argv)
+    assert code == 0
+    (notes,) = [line for line in text.splitlines() if line.startswith("notes")]
+    assert notes.count("cap is 1") == 2 and "; idp skipped" in notes
+    assert "[" not in notes and "'" not in notes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "json", "batch"],
+        ["--format", "text", "batch"],
+        ["--fpp-cap", "-3", "report"],
+        ["--count", "0", "batch"],
+    ],
+)
+def test_ignored_or_meaningless_option_values_exit_2(argv, capsys):
+    code, text = run(["--family", "cycle", "--n", "6", *argv])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_report_csv_format():
     code, text = run(["--family", "cycle", "--n", "4", "--format", "csv", "report"])
     assert code == 0
@@ -326,11 +351,12 @@ def test_parser_is_not_built_at_import():
 
 
 def test_cap_flag_softens_to_null_fields():
-    code, text = run(["--family", "cycle", "--n", "6", "--fpp-cap", "1", "report"])
-    assert code == 0
-    d = json.loads(text)
-    assert d["hstar"] is None and d["symmetric"] is None and d["idp"] is None
-    assert d["notes"]
+    for cap in ("1", "0"):  # a cap of 0 is valid: it walks nothing
+        code, text = run(["--family", "cycle", "--n", "6", "--fpp-cap", cap, "report"])
+        assert code == 0
+        d = json.loads(text)
+        assert d["hstar"] is None and d["symmetric"] is None and d["idp"] is None
+        assert d["notes"]
 
 
 def test_removed_idp_flag_exit_2():

@@ -15,6 +15,7 @@ from oracles import (
     barycentric_of_origin,
     basis_change_matrix,
     bridge_division_by_minors,
+    broken_cofactor_tests,
     broken_facets,
     canonical_tree_simplex,
     cofactor_reflexivity_by_minors,
@@ -26,6 +27,7 @@ from oracles import (
     origin_in_interior,
     solve_exact,
     verify_equivalence_certificate,
+    with_shifted_last_row,
 )
 
 
@@ -309,6 +311,86 @@ def test_cofactor_test_does_not_use_the_lifted_adjugate():
     S = splx.build(g.family("complete", 7))  # reflexive: every first minor is read
     assert splx.cofactor_reflexivity_test(S)
     assert "lifted_inverse_scaled" not in vars(S) and "facet_list" not in vars(S)
+
+
+@pytest.fixture(scope="module")
+def connected_graphs_to_6():
+    """The 142 connected graphs with 2 <= n <= 6 (networkx.graph_atlas_g)."""
+    nx = pytest.importorskip("networkx")
+    graphs = [
+        G for G in nx.graph_atlas_g() if 2 <= G.number_of_nodes() <= 6 and nx.is_connected(G)
+    ]
+    assert len(graphs) == 142  # A001349: 1 + 2 + 6 + 21 + 112 connected graphs, n = 2..6
+    return [g.Graph(G.number_of_nodes(), [(u + 1, v + 1) for u, v in G.edges]) for G in graphs]
+
+
+def cofactor_disagreements(cofactor_test, graphs):
+    """The graphs on which ``cofactor_test`` differs from its definition or from is_reflexive."""
+    bad = []
+    for G in graphs:
+        S = splx.build(G)
+        answer = cofactor_test(S)
+        if answer != cofactor_reflexivity_by_minors(S) or answer != splx.is_reflexive(S):
+            bad.append(G)
+    return bad
+
+
+def test_cofactor_criteria_match_their_definitions_on_every_small_graph(connected_graphs_to_6):
+    assert cofactor_disagreements(splx.cofactor_reflexivity_test, connected_graphs_to_6) == []
+    for G in connected_graphs_to_6:
+        assert analysis.bridge_division_condition(G) == bridge_division_by_minors(G), G
+
+
+@pytest.mark.parametrize("name", [name for name, _ in broken_cofactor_tests()])
+def test_cofactor_mutations_are_caught(name, connected_graphs_to_6):
+    assert cofactor_disagreements(dict(broken_cofactor_tests())[name], connected_graphs_to_6)
+
+
+def test_cofactor_criteria_eliminate_one_matrix(monkeypatch):
+    G = g.family("complete", 7)
+    S = splx.build(G)
+    sizes = []
+    inverse = linalg.inverse_scaled
+    monkeypatch.setattr(linalg, "inverse_scaled", lambda M: sizes.append(len(M)) or inverse(M))
+    assert splx.cofactor_reflexivity_test(S)
+    assert sizes == [6]
+    assert analysis.bridge_division_condition(G)
+    assert sizes == [6, 6]
+
+
+@pytest.mark.parametrize("kind", ["cycle", "complete"])
+def test_cofactor_test_checks_that_the_rows_sum_to_zero(kind):
+    S = with_shifted_last_row(splx.build(g.family(kind, 5)))
+    # L_B without its last row is untouched, so a kappa check on it alone passes
+    assert abs(linalg.determinant(S.vertex_matrix[:-1])) == S.kappa
+    with pytest.raises(InternalInconsistencyError, match="do not sum to zero"):
+        splx.cofactor_reflexivity_test(S)
+
+
+def test_cofactor_checks_raise_under_optimize():
+    code = (
+        "from lapsim import family, simplex as splx\n"
+        "from lapsim.errors import InternalInconsistencyError\n"
+        "from oracles import with_shifted_last_row\n"
+        "S = splx.build(family('complete', 5))\n"
+        "bad = (with_shifted_last_row(S), splx.LaplacianSimplex(S.graph, S.vertex_matrix, 2))\n"
+        "for T in bad:\n"
+        "    try:\n"
+        "        splx.cofactor_reflexivity_test(T)\n"
+        "    except InternalInconsistencyError as exc:\n"
+        "        print('raised:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(lapsim.__file__))
+    tests = os.path.dirname(__file__)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, tests)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised: the rows of L_B do not sum to zero",
+        "raised: L_B without its last row has determinant 125, kappa is 2",
+    ]
 
 
 # -- equivalence certificates ------------------------------------------------

@@ -1,4 +1,5 @@
-"""The library has no runtime dependencies: it imports the standard library only."""
+"""Source scans: the library imports the standard library only, and no assert
+statement sits outside the test modules, where python -O would strip it."""
 
 import ast
 import sys
@@ -34,3 +35,17 @@ def test_library_imports_only_the_standard_library():
 def test_the_scan_sees_a_third_party_import():
     tree = ast.parse("import numpy as np\nfrom networkx.algorithms import tree\nfrom . import graph\n")
     assert list(imported_modules(tree)) == [(1, "numpy"), (2, "networkx")]
+
+
+def test_no_assert_outside_the_test_modules():
+    # pytest rewrites the asserts of test modules only, so they still run under
+    # python -O; pyproject.toml silences its warning about all other asserts,
+    # which this test keeps true
+    files = [*sorted(SRC.rglob("*.py")), Path(__file__).with_name("oracles.py")]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
