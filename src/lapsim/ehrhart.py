@@ -8,11 +8,12 @@ element kept as one packed int, and checks the walk and stores it by height
 (``LaplacianSimplex.fpp_levels``); ``fpp_points`` checks the one size cap on
 that walk and returns the levels, so h* is their sizes and the IDP decision
 reads the same levels.  Closed forms cover trees, odd cycles, and complete
-graphs.  An independent oracle counts the lattice points of each dilate from
-the facet description alone, never from the walk: Fourier-Motzkin
-elimination pruned by Chernikov's rule bounds the coordinates, scanned
-narrowest first, and the widest coordinate is counted as one interval per
-prefix instead of point by point.
+graphs, and ``hstar`` picks one whenever it applies.  An independent oracle
+counts the lattice points of each dilate from the facet description alone,
+never from the walk: Fourier-Motzkin elimination pruned by Chernikov's rule
+bounds the coordinates, a recursion fixes them narrowest first, and the
+range of the widest coordinate is counted at once for each prefix instead
+of point by point.
 """
 
 from __future__ import annotations
@@ -27,13 +28,8 @@ from .simplex import LaplacianSimplex
 DEFAULT_FPP_CAP = 10**7
 DEFAULT_SCAN_CAP = 10**8
 
-STRATEGIES = (
-    "generic_snf",
-    "cycle_closed_form",
-    "complete_compositions",
-    "tree_closed_form",
-    "dilate_interpolation",
-)
+# the general methods that ``hstar`` can be told to use instead of a closed form
+STRATEGIES = ("generic_snf", "dilate_interpolation")
 
 
 @dataclass(frozen=True)
@@ -51,8 +47,6 @@ class HStarVector:
             raise InternalInconsistencyError("h*-vector must start with 1")
         if any(x < 0 for x in entries):
             raise InternalInconsistencyError("h*-vector entries must be nonnegative")
-        if self.strategy not in STRATEGIES:
-            raise DomainError(f"unknown strategy {self.strategy!r}")
 
     @property
     def total(self):
@@ -77,6 +71,8 @@ def fpp_points(S: LaplacianSimplex, cap: int = DEFAULT_FPP_CAP):
     walked, for the h* histogram and the IDP decision alike.  The walk itself
     runs once per simplex and is checked where ``S.fpp_levels`` builds it.
     """
+    if cap < 0:
+        raise DomainError(f"parallelepiped cap must be >= 0, got {cap}")
     vol = S.n * S.kappa
     if vol > cap:
         raise FeasibilityError(
@@ -131,30 +127,19 @@ def hstar_complete(n: int) -> HStarVector:
 
 
 def hstar(S: LaplacianSimplex, strategy=None, cap: int = DEFAULT_FPP_CAP) -> HStarVector:
-    """Compute the h*-vector, auto-selecting a closed form when one applies."""
+    """Compute the h*-vector, auto-selecting a closed form when one applies.
+
+    ``strategy`` forces one of the general methods in ``STRATEGIES``
+    instead: the walk (``generic_snf``) or the dilate oracle.
+    """
     G = S.graph
-    if strategy is None:
-        if G.is_tree:
-            strategy = "tree_closed_form"
-        elif G.is_cycle and G.n % 2 == 1:
-            strategy = "cycle_closed_form"
-        elif G.is_complete:
-            strategy = "complete_compositions"
-        else:
-            strategy = "generic_snf"
-    if strategy == "tree_closed_form":
-        if not G.is_tree:
-            raise DomainError("tree closed form requires a tree")
+    if strategy is None and G.is_tree:
         h = HStarVector((1,) * S.n, "tree_closed_form")
-    elif strategy == "cycle_closed_form":
-        if not G.is_cycle:
-            raise DomainError("cycle closed form requires a cycle")
+    elif strategy is None and G.is_cycle and G.n % 2 == 1:
         h = hstar_cycle_closed_form(G.n)
-    elif strategy == "complete_compositions":
-        if not G.is_complete:
-            raise DomainError("composition counting requires a complete graph")
+    elif strategy is None and G.is_complete:
         h = hstar_complete(G.n)
-    elif strategy == "generic_snf":
+    elif strategy in (None, "generic_snf"):
         h = HStarVector(tuple(map(len, fpp_points(S, cap=cap))), "generic_snf")
     elif strategy == "dilate_interpolation":
         counts = [count_dilate_points(S, t) for t in range(S.n)]
@@ -223,9 +208,9 @@ def _fm_eliminate(ineqs, k):
     still holds at every lattice point of the dilate.  So every system is a
     valid relaxation of the projected lattice points, and it stays bounded,
     since boundedness depends on the coefficients alone.  A count can never
-    depend on the rule: a system that lost a bound makes ``_scan_intervals``
-    raise.  Of the inequalities with equal coefficients and equal masks only
-    the smallest right-hand side is kept.
+    depend on the rule: a system that lost a bound makes
+    ``count_dilate_points`` raise.  Of the inequalities with equal
+    coefficients and equal masks only the smallest right-hand side is kept.
     """
     pos, neg, out = [], [], {}
 
@@ -279,25 +264,28 @@ def _fm_systems(S: LaplacianSimplex, t: int):
     return systems
 
 
-def _scan_intervals(S: LaplacianSimplex, t: int, cap: int):
-    """Yield (prefix, lo, hi) for the lattice points of the t-th dilate.
+def count_dilate_points(S: LaplacianSimplex, t: int, cap: int = DEFAULT_SCAN_CAP) -> int:
+    """Exact |tS intersect Z^d| from the facets alone; independent oracle.
 
-    Works from the facet description alone, through ``_fm_systems``, with
-    the coordinates in ``_scan_order``.  The points with a given prefix of
-    the first d - 1 coordinates are those whose last coordinate lies in
-    [lo, hi]; only nonempty intervals are yielded.  One depth-first scan with
-    an explicit stack fixes the coordinates left to right, coordinate j
-    within ceil(s / a) <= x_j <= floor(s / a), s = r - c . prefix, for each
-    inequality of the system that bounds it.  When a coordinate's range is
-    opened, the fixed part of the prefix is folded into each s of the next
-    coordinate, so a candidate costs one product per inequality.  These
-    bounds are valid but need not be tight, so a prefix may have no point;
-    the last coordinate is bounded by the full facet system, which decides
-    exactly.  Each candidate of an earlier coordinate counts 1 towards
-    ``cap``, and each interval its length.
+    Never reads the parallelepiped walk: the bounds come from ``_fm_systems``,
+    with the coordinates in ``_scan_order``.  A depth-first recursion fixes
+    the coordinates left to right, coordinate j within
+    ceil(s / a) <= x_j <= floor(s / a), s = r - c . prefix, for each
+    inequality of the system that bounds it, and returns the number of
+    points with the current prefix.  When a coordinate's range opens, the
+    fixed part of the prefix is folded into each s of the next coordinate,
+    so a candidate costs one product per inequality.  These bounds are
+    valid but need not be tight, so a prefix may have no point; the last
+    coordinate is bounded by the full facet system, which decides exactly,
+    and its range is counted at once.  Each candidate of an earlier
+    coordinate counts 1 towards ``cap``, and each range of the last
+    coordinate its length.  The recursion is d = n - 1 frames deep, under
+    Python's default limit up to ``graph.MAX_N``.
     """
     if t < 0:
         raise DomainError("dilate factor must be nonnegative")
+    if cap < 0:
+        raise DomainError(f"dilate scan cap must be >= 0, got {cap}")
     systems = _fm_systems(S, t)
     # the inequalities that bound x_j from below and from above, as
     # (coefficients of x_0..x_{j-2}, coefficient of x_{j-1}, r, |c_j|);
@@ -312,44 +300,30 @@ def _scan_intervals(S: LaplacianSimplex, t: int, cap: int):
     prefix = [0] * last
     visited = 0
 
-    def charge(k):
+    def count(j, lo, hi):
+        """The points with coordinates 0..j - 1 from the prefix and lo <= x_j <= hi."""
         nonlocal visited
-        visited += k
+        if lo > hi:
+            return 0
+        visited += hi - lo + 1
         if visited > cap:
             raise FeasibilityError(
                 f"dilate scan exceeded cap of {cap} candidates", required=visited
             )
+        if j == last:
+            return hi - lo + 1
+        folded_lo = [(r - sum(map(mul, c, prefix)), b, a) for c, b, r, a in lowers[j + 1]]
+        folded_hi = [(r - sum(map(mul, c, prefix)), b, a) for c, b, r, a in uppers[j + 1]]
+        total = 0
+        for x in range(lo, hi + 1):
+            prefix[j] = x
+            total += count(
+                j + 1,
+                max([-((s - b * x) // a) for s, b, a in folded_lo]),
+                min([(s - b * x) // a for s, b, a in folded_hi]),
+            )
+        return total
 
-    lo = max(-(r // a) for *_, r, a in lowers[0])
-    hi = min(r // a for *_, r, a in uppers[0])
-    stack = []  # per open coordinate j: its values left, coordinate j + 1 folded
-    while True:
-        j = len(stack)  # coordinates 0..j - 1 are fixed, and [lo, hi] bounds x_j
-        if lo <= hi:
-            charge(hi - lo + 1)
-            if j == last:
-                yield tuple(prefix), lo, hi
-            else:
-                stack.append(
-                    (
-                        iter(range(lo, hi + 1)),
-                        [(r - sum(map(mul, c, prefix)), b, a) for c, b, r, a in lowers[j + 1]],
-                        [(r - sum(map(mul, c, prefix)), b, a) for c, b, r, a in uppers[j + 1]],
-                    )
-                )
-        while stack and (x := next(stack[-1][0], None)) is None:
-            stack.pop()
-        if not stack:
-            return
-        _, folded_lo, folded_hi = stack[-1]
-        prefix[len(stack) - 1] = x
-        lo = max([-((s - b * x) // a) for s, b, a in folded_lo])
-        hi = min([(s - b * x) // a for s, b, a in folded_hi])
-
-
-def count_dilate_points(S: LaplacianSimplex, t: int, cap: int = DEFAULT_SCAN_CAP) -> int:
-    """Exact |tS intersect Z^d|, summed over the scan's intervals; independent oracle.
-
-    Uses only the facet description, never the parallelepiped walk.
-    """
-    return sum(hi - lo + 1 for _, lo, hi in _scan_intervals(S, t, cap))
+    return count(
+        0, max(-(r // a) for *_, r, a in lowers[0]), min(r // a for *_, r, a in uppers[0])
+    )

@@ -7,11 +7,11 @@ and both cofactor criteria by their definitions, one determinant per minor;
 the library itself runs none of these methods, so agreement is a real
 cross-check.  The helpers after them (matrix and row-vector products, row
 and column deletion, primitivity, unimodularity, the origin's barycentric
-coordinates from a fresh adjugate, the lattice points of a dilate from the
-dilate scan's intervals, equivalence certificates, the edge-list writer, a
-simplex with its last row shifted, and ``mutant``, ``broken_cofactor_tests``
-and ``broken_facets`` for the mutation tests) have no caller in the library
-and live here for the tests alone.
+coordinates from a fresh adjugate, the lattice points of the simplex from
+the box scan, equivalence certificates, the edge-list writer, a simplex with
+its last row shifted, and ``mutant``, ``broken_cofactor_tests`` and
+``broken_facets`` for the mutation tests) have no caller in the library and
+live here for the tests alone.
 
 A matrix is a tuple of int rows, as in the library.
 """
@@ -279,26 +279,9 @@ def origin_in_interior(vertex_matrix) -> bool:
         return False
 
 
-def dilate_points(S, t):
-    """All lattice points of the t-th dilate, sorted, from the dilate scan.
-
-    Expands each interval of ``ehrhart._scan_intervals`` and writes every
-    point back in the simplex's own coordinates, undoing ``_scan_order``.
-    """
-    order = ehrhart._scan_order(S)
-    out = []
-    for prefix, lo, hi in ehrhart._scan_intervals(S, t, ehrhart.DEFAULT_SCAN_CAP):
-        for x in range(lo, hi + 1):
-            point = [0] * S.dim
-            for j, v in zip(order, prefix + (x,)):
-                point[j] = v
-            out.append(tuple(point))
-    return sorted(out)
-
-
 def lattice_points(S):
-    """All lattice points of the simplex itself (dilate t = 1)."""
-    return dilate_points(S, 1)
+    """All lattice points of the simplex itself (dilate t = 1), by the box scan."""
+    return dilate_points_by_box(S, 1)
 
 
 def _vertex_rows(obj):

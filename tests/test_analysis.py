@@ -7,7 +7,7 @@ import pytest
 
 from lapsim import analysis, ehrhart, graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, FeasibilityError, InternalInconsistencyError
-from oracles import dilate_points, idp_by_cone_search, lattice_points
+from oracles import dilate_points_by_box, idp_by_cone_search, lattice_points
 
 
 def brute_is_idp(S, t_max=None):
@@ -17,7 +17,7 @@ def brute_is_idp(S, t_max=None):
     sums = set(base)
     for t in range(2, t_max + 1):
         sums = {tuple(a + b for a, b in zip(x, q)) for x in sums for q in base}
-        target = set(dilate_points(S, t))
+        target = set(dilate_points_by_box(S, t))
         if not target <= sums:
             return False
     return True

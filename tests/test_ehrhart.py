@@ -13,7 +13,6 @@ import lapsim
 from lapsim import analysis, ehrhart, graph as g, linalg, simplex as splx
 from lapsim.errors import DomainError, FeasibilityError, InternalInconsistencyError
 from oracles import (
-    dilate_points,
     dilate_points_by_box,
     fpp_point,
     hstar_cycle_by_kernel_sum,
@@ -64,8 +63,6 @@ def test_hstar_vector_validation():
         ehrhart.HStarVector((2, 1), "generic_snf")
     with pytest.raises(InternalInconsistencyError):
         ehrhart.HStarVector((1, -1), "generic_snf")
-    with pytest.raises(DomainError):
-        ehrhart.HStarVector((1, 1), "nope")
 
 
 # -- fundamental parallelepiped ----------------------------------------------
@@ -349,13 +346,31 @@ def test_dilate_scan_cap():
         ehrhart.count_dilate_points(S, 3, cap=5)
 
 
+def test_negative_caps_are_domain_errors():
+    S = splx.build(g.family("cycle", 6))
+    with pytest.raises(DomainError):
+        analysis.analyze(g.family("cycle", 6), fpp_cap=-3)
+    with pytest.raises(DomainError):
+        analysis.is_idp(S, cap=-1)
+    with pytest.raises(DomainError):
+        ehrhart.count_dilate_points(S, 1, cap=-1)
+    # a cap of 0 is valid: it refuses every walk and every scan
+    with pytest.raises(FeasibilityError):
+        ehrhart.fpp_points(S, cap=0)
+    with pytest.raises(FeasibilityError):
+        ehrhart.count_dilate_points(S, 0, cap=0)
+
+
+def test_dilate_oracle_does_not_build_the_walk():
+    for G in (g.family("cycle", 6), g.family("complete", 4)):
+        S = splx.build(G)
+        ehrhart.hstar(S, strategy="dilate_interpolation")
+        assert "fpp_levels" not in vars(S) and "packing" not in vars(S), G
+
+
 def check_scan_against_box(S, t):
-    """The dilate scan agrees with the box scan, point for point."""
-    box = dilate_points_by_box(S, t)
-    intervals = list(ehrhart._scan_intervals(S, t, ehrhart.DEFAULT_SCAN_CAP))
-    assert all(lo <= hi for _, lo, hi in intervals), "an empty interval was yielded"
-    assert ehrhart.count_dilate_points(S, t) == len(box)
-    assert dilate_points(S, t) == box
+    """The dilate count agrees with the box scan, which shares no code with it."""
+    assert ehrhart.count_dilate_points(S, t) == len(dilate_points_by_box(S, t))
 
 
 def scan_cases(count, seed):
@@ -395,30 +410,22 @@ def test_fm_systems_stay_within_2n():
     assert all(1 <= len(system) <= 2 * n for system in systems), [len(x) for x in systems]
 
 
-# Each mutation breaks the dilate scan; check_scan_against_box must catch it.
+# Each mutation breaks the dilate count; check_scan_against_box must catch it.
+# Entering an empty range instead of skipping it has no such mutation: the
+# range [lo, lo - 1] adds 0 to the count.
 DILATE_MUTATIONS = {
-    "interval counted as hi - lo": (
-        "count_dilate_points",
-        "sum(hi - lo + 1 for",
-        "sum(hi - lo for",
-    ),
-    "empty interval counted instead of skipped": (
-        "_scan_intervals",
-        "if lo <= hi:",
-        "if True:",
-    ),
-    "prefix coordinate written one level off": (
-        "_scan_intervals",
-        "prefix[len(stack) - 1] = x",
-        "prefix[len(stack) - 2] = x",
-    ),
+    "interval counted as hi - lo": ("return hi - lo + 1", "return hi - lo"),
+    "prefix coordinate written one level off": ("prefix[j] = x", "prefix[j - 1] = x"),
+    "lower bound rounded down instead of up": ("-((s - b * x) // a)", "(b * x - s) // a"),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(DILATE_MUTATIONS))
 def test_dilate_mutations_are_caught(monkeypatch, mutation):
-    name, old, new = DILATE_MUTATIONS[mutation]
-    monkeypatch.setattr(ehrhart, name, mutant(getattr(ehrhart, name), old, new))
+    old, new = DILATE_MUTATIONS[mutation]
+    monkeypatch.setattr(
+        ehrhart, "count_dilate_points", mutant(ehrhart.count_dilate_points, old, new)
+    )
     with pytest.raises(AssertionError):
         for S in scan_cases(6, 41):
             for t in range(1, 3):
@@ -443,6 +450,36 @@ def test_infeasible_inequality_raises():
     for t in (1, 2):
         with pytest.raises(InternalInconsistencyError, match="empty inequality"):
             ehrhart.count_dilate_points(S, t)
+
+
+def test_dilate_checks_raise_under_optimize():
+    # the scan's checks are raises, not asserts, so python -O keeps them
+    code = (
+        "import dataclasses\n"
+        "from lapsim import ehrhart, family, graph, simplex as splx\n"
+        "from lapsim.errors import InternalInconsistencyError\n"
+        "from oracles import mutant\n"
+        "def count(S):\n"
+        "    try:\n"
+        "        ehrhart.count_dilate_points(S, 2)\n"
+        "    except InternalInconsistencyError as exc:\n"
+        "        print('raised:', exc)\n"
+        "S = splx.build(family('cycle', 5))\n"
+        "S.facet_list = tuple(dataclasses.replace(f, local_index=-1) for f in S.facet_list)\n"
+        "count(S)\n"
+        "over = ('mask.bit_count() > k + 1', 'mask.bit_count() > k')\n"
+        "ehrhart._fm_eliminate = mutant(ehrhart._fm_eliminate, *over)\n"
+        "count(splx.build(graph.Graph(6, [(4, 5), (5, 6), (4, 6), (1, 6), (2, 6), (3, 6)])))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lapsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    empty, unbounded = proc.stdout.splitlines()
+    assert empty.startswith("raised: dilate scan met the empty inequality 0 <= -"), empty
+    assert unbounded == "raised: dilate scan region is unbounded"
 
 
 def test_walk_matches_oracles_on_every_small_graph():
