@@ -1,14 +1,18 @@
-"""Property analyses: unimodality, symmetry, IDP, and the regression suite."""
+"""Property analyses: unimodality, symmetry, IDP, and the paper's claims."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd
+import random
+from dataclasses import dataclass
+from fractions import Fraction as F
+from math import comb, gcd
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
 from . import ehrhart, simplex as splx
 from .graph import (
     Graph,
+    attach_path,
+    attach_tree,
     bridge,
     family,
     leaf_move,
@@ -192,208 +196,211 @@ def analyze(G: Graph, strategy=None, fpp_cap: int = ehrhart.DEFAULT_FPP_CAP) -> 
     )
 
 
-# -- regression suite --------------------------------------------------------
+# -- the paper's claims -----------------------------------------------------
+
+PAPER_CLAIMS = {}
 
 
-@dataclass
-class RegressionCase:
-    name: str
-    passed: bool
-    detail: str = ""
+def _claim(name):
+    """Add a check, which returns passed or ``(passed, detail)``, to ``PAPER_CLAIMS``."""
+
+    def register(fn):
+        PAPER_CLAIMS[name] = fn
+        return fn
+
+    return register
 
 
-@dataclass
-class RegressionReport:
-    cases: list = field(default_factory=list)
-
-    def add(self, name, passed, detail=""):
-        self.cases.append(RegressionCase(name, bool(passed), detail))
-
-    @property
-    def failures(self):
-        return [c for c in self.cases if not c.passed]
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-def _check(report, name, fn):
+def check_claim(name):
+    """Run one claim as ``(passed, detail)``; a crash is a failure, not an abort."""
+    check = PAPER_CLAIMS[name]
     try:
-        result = fn()
-        if isinstance(result, tuple):
-            passed, detail = result
-        else:
-            passed, detail = result, ""
-        report.add(name, passed, detail)
-    except Exception as exc:  # a crash is a failure, not an abort
-        report.add(name, False, f"error: {exc!r}")
+        result = check()
+    except Exception as exc:
+        return False, f"error: {exc!r}"
+    passed, detail = result if isinstance(result, tuple) else (result, "")
+    return bool(passed), detail
 
 
-def paper_regression(only=None) -> RegressionReport:
-    """Re-verify every concrete result at desk scale.
+def paper_regression(only=None):
+    """Re-verify every concrete result at desk scale, as ``[(name, passed, detail)]``.
 
-    ``only`` optionally filters case names by substring.  The random cases
+    ``only`` optionally filters claim names by substring.  The random cases
     are seeded from ``DEFAULT_SWEEP_SEED``.
     """
-    report = RegressionReport()
-    checks = []
+    return [(name, *check_claim(name)) for name in PAPER_CLAIMS if not only or only in name]
 
-    def case(name):
-        def wrap(fn):
-            checks.append((name, fn))
-            return fn
 
-        return wrap
+@_claim("cycles/C5-hstar-both-paths")
+def _():
+    S = splx.build(family("cycle", 5))
+    gen = ehrhart.hstar(S, strategy="generic_snf").entries
+    closed = ehrhart.hstar_cycle_closed_form(5).entries
+    return gen == closed == (1, 1, 21, 1, 1)
 
-    @case("cycles/C5-hstar-both-paths")
-    def _():
-        S = splx.build(family("cycle", 5))
-        gen = ehrhart.hstar(S, strategy="generic_snf").entries
-        closed = ehrhart.hstar_cycle_closed_form(5).entries
-        return gen == closed == (1, 1, 21, 1, 1)
 
-    @case("cycles/reflexive-iff-odd")
-    def _():
-        got = {n: splx.is_reflexive(splx.build(family("cycle", n))) for n in range(3, 10)}
-        return all(got[n] == (n % 2 == 1) for n in got), str(got)
+@_claim("cycles/reflexive-iff-odd")
+def _():
+    got = {n: splx.is_reflexive(splx.build(family("cycle", n))) for n in range(3, 10)}
+    return all(got[n] == (n % 2 == 1) for n in got), str(got)
 
-    @case("cycles/even-are-2-reflexive")
-    def _():
-        return all(
-            splx.ell_reflexive_index(splx.build(family("cycle", 2 * k))) == 2
-            for k in (2, 3, 4)
-        )
 
-    @case("cycles/prime-formula")
-    def _():
-        return all(verify_prime_cycle_formula(n) for n in (3, 5, 7, 11, 9, 15))
+@_claim("cycles/even-are-2-reflexive")
+def _():
+    return all(
+        splx.ell_reflexive_index(splx.build(family("cycle", 2 * k))) == 2
+        for k in (2, 3, 4)
+    )
 
-    @case("cycles/C9-composite")
-    def _():
-        closed = ehrhart.hstar_cycle_closed_form(9).entries
-        gen = ehrhart.hstar(splx.build(family("cycle", 9)), strategy="generic_snf")
-        return closed == gen.entries == (1, 1, 1, 7, 61, 7, 1, 1, 1)
 
-    @case("cycles/odd-unimodal")
-    def _():
-        return all(
-            is_unimodal(ehrhart.hstar_cycle_closed_form(n)) for n in (3, 5, 7, 9, 11)
-        )
+@_claim("cycles/prime-formula")
+def _():
+    return all(verify_prime_cycle_formula(n) for n in (3, 5, 7, 11, 9, 15))
 
-    @case("cycles/odd-not-idp")
-    def _():
-        return all(not is_idp(splx.build(family("cycle", n))) for n in range(5, 16, 2))
 
-    @case("cycles/C3-idp-note")
-    def _():
-        # C_3 = K_3: the complete-graph result wins; the checker says IDP
-        return is_idp(splx.build(family("cycle", 3))), "C3 equals K3, checker says IDP"
+@_claim("cycles/C9-composite")
+def _():
+    closed = ehrhart.hstar_cycle_closed_form(9).entries
+    gen = ehrhart.hstar(splx.build(family("cycle", 9)), strategy="generic_snf")
+    return closed == gen.entries == (1, 1, 1, 7, 61, 7, 1, 1, 1)
 
-    @case("cycles/dual-vertices")
-    def _():
-        from fractions import Fraction as F
 
-        d3 = {f.dual_vertex for f in splx.facets(splx.build(family("cycle", 3)))}
-        d5 = {f.dual_vertex for f in splx.facets(splx.build(family("cycle", 5)))}
-        d4 = {f.dual_vertex for f in splx.facets(splx.build(family("cycle", 4)))}
-        ok3 = d3 == {(F(-1), F(0)), (F(1), F(-1)), (F(0), F(1))}
-        ok5 = (F(-2), F(-1), F(0), F(1)) in d5
-        ok4 = (F(-3, 2), F(-1, 2), F(1, 2)) in d4
-        return ok3 and ok5 and ok4
+@_claim("cycles/odd-unimodal")
+def _():
+    return all(
+        is_unimodal(ehrhart.hstar_cycle_closed_form(n)) for n in (3, 5, 7, 9, 11)
+    )
 
-    @case("cycles/whiskered-even-reflexive")
-    def _():
-        return all(
-            splx.is_reflexive(splx.build(whisker(family("cycle", n)))) for n in range(4, 13, 2)
-        )
 
-    @case("trees/hstar-all-ones")
-    def _():
-        import random
+@_claim("cycles/odd-not-idp")
+def _():
+    return all(not is_idp(splx.build(family("cycle", n))) for n in range(5, 16, 2))
 
-        rng = random.Random(DEFAULT_SWEEP_SEED)
-        for _ in range(20):
-            n = rng.randint(2, 8)
-            G = family("random_tree", n, seed=rng.randrange(2**30))
-            S = splx.build(G)
-            h = ehrhart.hstar(S, strategy="generic_snf")
-            if h.entries != (1,) * n or S.volume != n or not splx.is_reflexive(S):
-                return False, f"failed on {G!r}"
-        return True
 
-    @case("complete/reflexive")
-    def _():
-        return all(splx.is_reflexive(splx.build(family("complete", n))) for n in range(2, 7))
+@_claim("cycles/C3-idp-note")
+def _():
+    # C_3 = K_3: the complete-graph result wins; the checker says IDP
+    return is_idp(splx.build(family("cycle", 3))), "C3 equals K3, checker says IDP"
 
-    @case("complete/hstar")
-    def _():
-        k3 = ehrhart.hstar_complete(3).entries == (1, 7, 1)
-        k4 = ehrhart.hstar_complete(4).entries == (1, 31, 31, 1)
-        gen = ehrhart.hstar(splx.build(family("complete", 4)), strategy="generic_snf")
-        return k3 and k4 and gen.entries == (1, 31, 31, 1)
 
-    @case("complete/ehrhart-polynomial")
-    def _():
-        from math import comb
+@_claim("cycles/dual-vertices")
+def _():
+    d3 = {f.dual_vertex for f in splx.facets(splx.build(family("cycle", 3)))}
+    d5 = {f.dual_vertex for f in splx.facets(splx.build(family("cycle", 5)))}
+    d4 = {f.dual_vertex for f in splx.facets(splx.build(family("cycle", 4)))}
+    ok3 = d3 == {(F(-1), F(0)), (F(1), F(-1)), (F(0), F(1))}
+    ok5 = (F(-2), F(-1), F(0), F(1)) in d5
+    ok4 = (F(-3, 2), F(-1, 2), F(1, 2)) in d4
+    return ok3 and ok5 and ok4
 
-        for n in range(2, 6):
-            h = ehrhart.hstar_complete(n)
-            for t in range(5):
-                if ehrhart.ehrhart_eval(h, t) != comb(t * n + n - 1, n - 1):
-                    return False, f"n={n}, t={t}"
-        return True
 
-    @case("complete/idp")
-    def _():
-        return all(is_idp(splx.build(family("complete", n))) for n in (3, 4, 5, 6))
+@_claim("cycles/whiskered-even-reflexive")
+def _():
+    return all(
+        splx.is_reflexive(splx.build(whisker(family("cycle", n)))) for n in range(4, 13, 2)
+    )
 
-    @case("complete/unimodal")
-    def _():
-        return all(is_unimodal(ehrhart.hstar_complete(n)) for n in range(2, 7))
 
-    @case("bridge/reflexive-instances")
-    def _():
-        for a, b in ((3, 3), (5, 5)):
-            G = bridge(family("cycle", a), family("complete", b), 1, 1)
-            if not splx.is_reflexive(splx.build(G)):
-                return False
-        return True
+@_claim("trees/hstar-all-ones")
+def _():
+    rng = random.Random(DEFAULT_SWEEP_SEED)
+    for _ in range(20):
+        n = rng.randint(2, 8)
+        G = family("random_tree", n, seed=rng.randrange(2**30))
+        S = splx.build(G)
+        h = ehrhart.hstar(S, strategy="generic_snf").entries
+        ones = h == ehrhart.hstar(S).entries == (1,) * n and is_unimodal(h)
+        if not ones or S.volume != n or not splx.is_reflexive(S):
+            return False, f"failed on {G!r}"
+    return True
 
-    @case("bridge/division-condition")
-    def _():
-        ok = all(bridge_division_condition(family("cycle", n)) for n in (3, 5, 7))
-        ok = ok and all(bridge_division_condition(family("complete", n)) for n in (3, 4, 5))
-        return ok and bridge_division_condition(family("path", 3))
 
-    @case("operations/leaf-move-matches-bridge")
-    def _():
-        wedge = Graph(
-            6, [(1, 2), (2, 3), (1, 3), (1, 4), (1, 5), (4, 5), (1, 6)]
-        )  # C3 and K3 wedged at 1, leaf 6
-        moved = leaf_move(wedge, A={1, 2, 3, 6}, x=1, y=6)
-        bridged = bridge(family("cycle", 3), family("complete", 3), 1, 1)
-        hm = ehrhart.hstar(splx.build(moved), strategy="generic_snf")
-        hb = ehrhart.hstar(splx.build(bridged), strategy="generic_snf")
-        return hm.entries == hb.entries and splx.build(moved).volume == splx.build(bridged).volume
+@_claim("complete/reflexive")
+def _():
+    return all(splx.is_reflexive(splx.build(family("complete", n))) for n in range(2, 7))
 
-    @case("sweep/hibi-and-consistency")
-    def _():
-        for k in range(25):
-            G = random_connected_graph(3 + k % 4, seed=DEFAULT_SWEEP_SEED + k)
-            S = splx.build(G)
-            h = ehrhart.hstar(S, strategy="generic_snf")
-            if h.total != S.volume or S.volume != G.n * S.kappa:
-                return False, f"volume mismatch on {G!r}"
-            refl = splx.is_reflexive(S)
-            if is_symmetric(h) != refl:
-                return False, f"Hibi violated on {G!r}"
-            if splx.cofactor_reflexivity_test(S) != refl:
-                return False, f"cofactor criterion disagrees on {G!r}"
-        return True
 
-    for name, fn in checks:
-        if only and only not in name:
-            continue
-        _check(report, name, fn)
-    return report
+@_claim("complete/hstar")
+def _():
+    return all(
+        ehrhart.hstar_complete(n).entries
+        == ehrhart.hstar(splx.build(family("complete", n)), strategy="generic_snf").entries
+        == h
+        for n, h in ((3, (1, 7, 1)), (4, (1, 31, 31, 1)))
+    )
+
+
+@_claim("complete/ehrhart-polynomial")
+def _():
+    for n in range(2, 6):
+        h = ehrhart.hstar_complete(n)
+        for t in range(5):
+            if ehrhart.ehrhart_eval(h, t) != comb(t * n + n - 1, n - 1):
+                return False, f"n={n}, t={t}"
+    return True
+
+
+@_claim("complete/idp")
+def _():
+    return all(is_idp(splx.build(family("complete", n))) for n in (3, 4, 5, 6))
+
+
+@_claim("complete/unimodal")
+def _():
+    return all(is_unimodal(ehrhart.hstar_complete(n)) for n in range(2, 7))
+
+
+@_claim("bridge/reflexive-instances")
+def _():
+    for a, b in ((3, 3), (5, 5)):
+        G = bridge(family("cycle", a), family("complete", b), 1, 1)
+        if not splx.is_reflexive(splx.build(G)):
+            return False
+    return True
+
+
+@_claim("bridge/division-condition")
+def _():
+    ok = all(bridge_division_condition(family("cycle", n)) for n in (3, 5, 7))
+    ok = ok and all(bridge_division_condition(family("complete", n)) for n in (3, 4, 5))
+    return ok and bridge_division_condition(family("path", 3))
+
+
+@_claim("operations/leaf-move-matches-bridge")
+def _():
+    # C3 and K3 wedged at 1, leaf 6
+    wedge = Graph(6, [(1, 2), (2, 3), (1, 3), (1, 4), (1, 5), (4, 5), (1, 6)])
+    moved = leaf_move(wedge, A={1, 2, 3, 6}, x=1, y=6)
+    bridged = bridge(family("cycle", 3), family("complete", 3), 1, 1)
+    hm = ehrhart.hstar(splx.build(moved), strategy="generic_snf")
+    hb = ehrhart.hstar(splx.build(bridged), strategy="generic_snf")
+    return hm.entries == hb.entries and splx.build(moved).volume == splx.build(bridged).volume
+
+
+@_claim("operations/attach-tree-matches-path")
+def _():
+    # attaching any tree on k new vertices gives the same data as a k-vertex path
+    base = family("cycle", 5)
+    via_path = splx.build(attach_path(base, 2, 3))
+    via_star = splx.build(attach_tree(base, 2, family("star", 4)))
+    hp = ehrhart.hstar(via_path, strategy="generic_snf")
+    hs = ehrhart.hstar(via_star, strategy="generic_snf")
+    return hp.entries == hs.entries and via_path.volume == via_star.volume
+
+
+@_claim("sweep/hibi-and-consistency")
+def _():
+    for k in range(25):
+        G = random_connected_graph(3 + k % 4, seed=DEFAULT_SWEEP_SEED + k)
+        S = splx.build(G)
+        h = ehrhart.hstar(S, strategy="generic_snf")
+        if h.total != S.volume or S.volume != G.n * S.kappa:
+            return False, f"volume mismatch on {G!r}"
+        if ehrhart.hstar(S, strategy="dilate_interpolation").entries != h.entries:
+            return False, f"dilate oracle disagrees on {G!r}"
+        refl = splx.is_reflexive(S)
+        if is_symmetric(h) != refl:
+            return False, f"Hibi violated on {G!r}"
+        if splx.cofactor_reflexivity_test(S) != refl:
+            return False, f"cofactor criterion disagrees on {G!r}"
+    return True

@@ -62,8 +62,8 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("report", help="full property report for one graph")
     sub.add_parser("batch", help="one CSV row per graph over a range")
-    vp = sub.add_parser("verify-paper", help="run the desk-scale regression suite")
-    vp.add_argument("--only", help="filter regression cases by substring")
+    vp = sub.add_parser("verify-paper", help="check the paper's claims at desk scale")
+    vp.add_argument("--only", help="run only the claims whose name holds this substring")
     return p
 
 
@@ -143,6 +143,17 @@ def _csv_row(report):
     return [row[key] for key in CSV_HEADER.split(",")]
 
 
+def _n_range(spec):
+    """The n of ``--n-range A:B``, A to B inclusive; an empty range is an error."""
+    try:
+        a, b = (int(tok) for tok in spec.split(":"))
+    except ValueError as exc:
+        raise DomainError(f"bad --n-range {spec!r}; want A:B") from exc
+    if a > b:
+        raise DomainError(f"--n-range {spec!r} is empty; want A <= B")
+    return range(a, b + 1)
+
+
 def _check_options(args):
     """Reject option values that would otherwise be ignored or silently changed."""
     if args.fpp_cap < 0:
@@ -151,6 +162,12 @@ def _check_options(args):
         raise DomainError(f"--count must be >= 1, got {args.count}")
     if args.command == "batch" and args.format not in (None, "csv"):
         raise DomainError(f"batch writes CSV only, not --format {args.format}")
+    if args.n_range:
+        _n_range(args.n_range)  # raises on a bad or empty range
+        if args.command != "batch" or args.n is not None or args.edge_list:
+            raise DomainError("--n-range is for batch with --family, without --n")
+    if args.edge_list and args.n is not None:
+        raise DomainError("--n is for --family, not --edge-list")
 
 
 def cmd_report(args, out):
@@ -167,11 +184,7 @@ def cmd_report(args, out):
 
 def _batch_targets(args):
     if args.n_range:
-        try:
-            a, b = (int(tok) for tok in args.n_range.split(":"))
-        except ValueError as exc:
-            raise DomainError(f"bad --n-range {args.n_range!r}; want A:B") from exc
-        ns = range(a, b + 1)
+        ns = _n_range(args.n_range)
     elif args.n is not None:
         ns = [args.n]
     elif args.edge_list:
@@ -198,15 +211,15 @@ def cmd_batch(args, out):
 
 
 def cmd_verify_paper(args, out):
-    report = analysis.paper_regression(only=args.only)
-    for case in report.cases:
-        status = "PASS" if case.passed else "FAIL"
-        detail = f"  ({case.detail})" if case.detail else ""
-        out.write(f"{status}  {case.name}{detail}\n")
-    out.write(
-        f"{len(report.cases) - len(report.failures)}/{len(report.cases)} checks passed\n"
-    )
-    return EXIT_OK if report.ok else EXIT_REGRESSION
+    results = analysis.paper_regression(only=args.only)
+    if not results:
+        raise DomainError(f"--only {args.only!r} matches no claim")
+    for name, passed, detail in results:
+        detail = f"  ({detail})" if detail else ""
+        out.write(f"{'PASS' if passed else 'FAIL'}  {name}{detail}\n")
+    passes = sum(passed for _, passed, _ in results)
+    out.write(f"{passes}/{len(results)} checks passed\n")
+    return EXIT_OK if passes == len(results) else EXIT_REGRESSION
 
 
 def main(argv=None, out=None):

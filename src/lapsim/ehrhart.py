@@ -130,7 +130,8 @@ def hstar(S: LaplacianSimplex, strategy=None, cap: int = DEFAULT_FPP_CAP) -> HSt
     """Compute the h*-vector, auto-selecting a closed form when one applies.
 
     ``strategy`` forces one of the general methods in ``STRATEGIES``
-    instead: the walk (``generic_snf``) or the dilate oracle.
+    instead: the walk (``generic_snf``) or the dilate oracle.  ``cap`` bounds
+    the walk only; the dilate oracle caps each dilate at ``DEFAULT_SCAN_CAP``.
     """
     G = S.graph
     if strategy is None and G.is_tree:

@@ -18,9 +18,9 @@ FAMILIES = ("path", "cycle", "complete", "star", "random_tree")
 # The largest n of a graph from ``family``, ``parse_edge_list``, ``whisker``,
 # ``bridge`` and ``attach_path``; ``leaf_move`` keeps n, and ``attach_tree``
 # and ``random_connected_graph`` are not checked.  Each report runs an O(n^3)
-# adjugate, 7-26 s at n = 500 for a path, star or random tree on a 2-vCPU host;
-# dense graphs take longer (K_300: 3 minutes), so the bound does not keep every
-# admitted graph fast.
+# adjugate: at n = 500 on a 2-vCPU host, 0.4-0.7 s for a path, 8.5-9.2 s for
+# random_tree seed 5, 16-18 s for the star; dense graphs take longer (K_200:
+# 20 s), so the bound does not keep every admitted graph fast.
 MAX_N = 500
 
 
@@ -142,25 +142,18 @@ def family(kind: str, n: int, seed=None) -> Graph:
     if kind not in FAMILIES:
         raise DomainError(f"unknown family {kind!r}; choose from {FAMILIES}")
     _check_size(n, "family size")
+    least = 3 if kind == "cycle" else 1
+    if n < least:
+        raise DomainError(f"{kind} needs n >= {least}")
     if kind == "cycle":
-        if n < 3:
-            raise DomainError("cycle needs n >= 3")
         edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
     elif kind == "path":
-        if n < 1:
-            raise DomainError("path needs n >= 1")
         edges = [(i, i + 1) for i in range(1, n)]
     elif kind == "complete":
-        if n < 1:
-            raise DomainError("complete graph needs n >= 1")
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     elif kind == "star":
-        if n < 1:
-            raise DomainError("star needs n >= 1")
         edges = [(1, i) for i in range(2, n + 1)]
     else:  # random_tree
-        if n < 1:
-            raise DomainError("tree needs n >= 1")
         edges = _random_tree_edges(n, random.Random(seed))
     return Graph(n, edges)
 

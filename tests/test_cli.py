@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapsim import cli, ehrhart, linalg
+from lapsim import analysis, cli, ehrhart, linalg
 from lapsim.errors import LapsimError
 from lapsim.graph import FAMILIES, MAX_N, Graph, family
 from oracles import narrow_group_packing, write_edge_list
@@ -58,14 +58,23 @@ def test_report_text_notes_are_one_joined_line():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--format", "json", "batch"],
-        ["--format", "text", "batch"],
-        ["--fpp-cap", "-3", "report"],
-        ["--count", "0", "batch"],
+        ["--family", "cycle", "--n", "6", "--format", "json", "batch"],
+        ["--family", "cycle", "--n", "6", "--format", "text", "batch"],
+        ["--family", "cycle", "--n", "6", "--fpp-cap", "-3", "report"],
+        ["--family", "cycle", "--n", "6", "--count", "0", "batch"],
+        ["--family", "cycle", "--n-range", "9:3", "batch"],
+        ["--edge-list", "EDGES", "--n-range", "3:5", "batch"],
+        ["--edge-list", "EDGES", "--n", "5", "report"],
+        ["--family", "cycle", "--n", "5", "--n-range", "3:4", "batch"],
+        ["--family", "cycle", "--n", "5", "--n-range", "3:4", "report"],
+        ["--n-range", "3:4", "verify-paper"],
+        ["verify-paper", "--only", "nomatch"],
     ],
 )
-def test_ignored_or_meaningless_option_values_exit_2(argv, capsys):
-    code, text = run(["--family", "cycle", "--n", "6", *argv])
+def test_ignored_or_meaningless_option_values_exit_2(argv, tmp_path, capsys):
+    path = tmp_path / "g.txt"  # a real file, so that only the option is at fault
+    write_edge_list(family("path", 3), path)
+    code, text = run([str(path) if arg == "EDGES" else arg for arg in argv])
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -194,7 +203,7 @@ def test_verify_paper_passes():
     assert code == 0
     lines = text.strip().splitlines()
     assert all(ln.startswith("PASS") for ln in lines[:-1])
-    assert lines[-1] == "20/20 checks passed"
+    assert lines[-1] == "21/21 checks passed"
 
 
 def test_verify_paper_only():
@@ -202,6 +211,22 @@ def test_verify_paper_only():
     assert code == 0
     assert "trees/hstar-all-ones" in text
     assert "complete/reflexive" not in text
+
+
+def test_verify_paper_reports_failures_and_exits_1(monkeypatch):
+    def boom():
+        raise ZeroDivisionError("boom")
+
+    claims = {"test/passes": lambda: True, "test/raises": boom, "test/fails": lambda: False}
+    monkeypatch.setattr(analysis, "PAPER_CLAIMS", claims)
+    code, text = run(["verify-paper"])
+    assert code == cli.EXIT_REGRESSION
+    assert text.splitlines() == [
+        "PASS  test/passes",
+        "FAIL  test/raises  (error: ZeroDivisionError('boom'))",
+        "FAIL  test/fails",
+        "1/3 checks passed",
+    ]
 
 
 # -- errors and environment --------------------------------------------------

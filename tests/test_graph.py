@@ -83,6 +83,10 @@ def test_family_validation():
         g.family("cycle", 2)
     with pytest.raises(DomainError):
         g.family("nope", 3)
+    for kind in g.FAMILIES:
+        for n in (0, -1):
+            with pytest.raises(DomainError, match=f"{kind} needs n >= "):
+                g.family(kind, n, seed=1)
 
 
 def test_family_rejects_sizes_above_the_bound():
