@@ -28,11 +28,30 @@ EXIT_INCONSISTENT = 3
 
 CSV_HEADER = "n,kappa,volume,hstar,reflexive,ell,symmetric,unimodal,idp,notes"
 
+# The global options each command reads, batch all of them; giving any other
+# one is an error.
+_GRAPH_OPTIONS = (
+    "edge_list", "family", "n", "seed", "whisker", "bridge_with", "attach_path",
+    "strategy", "fpp_cap", "format",
+)
+READS = {
+    "report": _GRAPH_OPTIONS,
+    "batch": _GRAPH_OPTIONS + ("n_range", "count"),
+    "verify-paper": (),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and with it its subparsers, whose usage errors are one line."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
 
 @functools.cache
 def build_parser():
     """The one parser of the process, built on the first call to ``main``."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lapsim",
         description="Exact Ehrhart-theoretic analysis of Laplacian simplices.",
     )
@@ -154,8 +173,20 @@ def _n_range(spec):
     return range(a, b + 1)
 
 
+@functools.cache
+def _unread_defaults(command):
+    """(name, default) of each global option that ``command`` does not read."""
+    parser = build_parser()
+    return tuple(
+        (dest, parser.get_default(dest)) for dest in READS["batch"] if dest not in READS[command]
+    )
+
+
 def _check_options(args):
     """Reject option values that would otherwise be ignored or silently changed."""
+    for dest, default in _unread_defaults(args.command):
+        if getattr(args, dest) != default:
+            raise DomainError(f"{args.command} does not read --{dest.replace('_', '-')}")
     if args.fpp_cap < 0:
         raise DomainError(f"--fpp-cap must be >= 0, got {args.fpp_cap}")
     if args.count < 1:
@@ -164,8 +195,8 @@ def _check_options(args):
         raise DomainError(f"batch writes CSV only, not --format {args.format}")
     if args.n_range:
         _n_range(args.n_range)  # raises on a bad or empty range
-        if args.command != "batch" or args.n is not None or args.edge_list:
-            raise DomainError("--n-range is for batch with --family, without --n")
+        if args.n is not None or args.edge_list:
+            raise DomainError("--n-range is for --family, without --n")
     if args.edge_list and args.n is not None:
         raise DomainError("--n is for --family, not --edge-list")
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import DomainError, FeasibilityError, InternalInconsistencyError
 from .linalg import determinant
 
 FAMILIES = ("path", "cycle", "complete", "star", "random_tree")
-# The largest n of a graph from ``family``, ``parse_edge_list``, ``whisker``,
-# ``bridge`` and ``attach_path``; ``leaf_move`` keeps n, and ``attach_tree``
-# and ``random_connected_graph`` are not checked.  Each report runs an O(n^3)
+# The largest n of a graph from ``family``, ``parse_edge_list``,
+# ``random_connected_graph``, ``whisker``, ``bridge``, ``attach_path`` and
+# ``attach_tree``; ``leaf_move`` keeps n.  Each report runs an O(n^3)
 # adjugate: at n = 500 on a 2-vCPU host, 0.4-0.7 s for a path, 8.5-9.2 s for
 # random_tree seed 5, 16-18 s for the star; dense graphs take longer (K_200:
 # 20 s), so the bound does not keep every admitted graph fast.
@@ -84,9 +85,6 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def degree(self, v):
-        return len(self.neighbors[v])
-
     @property
     def num_edges(self):
         return len(self.edges)
@@ -111,23 +109,24 @@ class Graph:
 
 
 def laplacian(G: Graph) -> tuple:
-    """Degree matrix minus adjacency matrix, as a tuple of int rows."""
-    adj = G.neighbors
-    vertices = range(1, G.n + 1)
-    return tuple(
-        tuple([len(adj[i]) if i == j else (-1 if j in adj[i] else 0) for j in vertices])
-        for i in vertices
-    )
+    """Degree matrix minus adjacency matrix, as int rows, in one pass over ``G.edges``."""
+    L = [[0] * G.n for _ in range(G.n)]
+    for u, v in G.edges:
+        u, v = u - 1, v - 1
+        L[u][v] = L[v][u] = -1
+        L[u][u] += 1
+        L[v][v] += 1
+    return tuple(map(tuple, L))
 
 
-def spanning_tree_count(G: Graph, L: tuple | None = None) -> int:
-    """Spanning trees as the (1,1) cofactor of L, which the volume is checked against.
+def spanning_tree_count(G: Graph) -> int:
+    """Spanning trees of G, as the (1,1) cofactor of its Laplacian, by Bareiss elimination.
 
-    ``L`` is G's Laplacian, if the caller has already built it.
+    The volume, read from the lifted adjugate, is checked against this separate count.
     """
     if G.n == 1:
         return 1
-    kappa = determinant([row[1:] for row in (laplacian(G) if L is None else L)[1:]])
+    kappa = determinant([row[1:] for row in laplacian(G)[1:]])
     if kappa < 1:
         raise InternalInconsistencyError(f"connected graph with {kappa} spanning trees")
     return kappa
@@ -161,8 +160,6 @@ def family(kind: str, n: int, seed=None) -> Graph:
 def _random_tree_edges(n, rng):
     if n == 1:
         return []
-    if n == 2:
-        return [(1, 2)]
     # Pruefer sequence decoding gives the uniform distribution on labeled trees
     seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
     degree = {v: 1 for v in range(1, n + 1)}
@@ -183,6 +180,7 @@ def _random_tree_edges(n, rng):
 
 def random_connected_graph(n: int, seed=None, extra_edges=None) -> Graph:
     """Random spanning tree plus a few extra edges; used for seeded sweeps."""
+    _check_size(n, "random graph size")
     rng = random.Random(seed)
     edges = set(_normalize_edges(_random_tree_edges(n, rng)))
     non_edges = [
@@ -198,12 +196,15 @@ def random_connected_graph(n: int, seed=None, extra_edges=None) -> Graph:
     return Graph(n, edges)
 
 
+def _grow(G: Graph, n: int, new_edges) -> Graph:
+    """G on n vertices plus ``new_edges``; above ``MAX_N``, refused before they are read."""
+    _check_size(n, "graph size")
+    return Graph(n, G.edges.union(new_edges))
+
+
 def whisker(G: Graph) -> Graph:
     """Attach a pendant vertex n+i to every vertex i."""
-    _check_size(2 * G.n, "whiskered graph size")
-    edges = set(G.edges)
-    edges.update((i, G.n + i) for i in range(1, G.n + 1))
-    return Graph(2 * G.n, edges)
+    return _grow(G, 2 * G.n, ((i, G.n + i) for i in range(1, G.n + 1)))
 
 
 def bridge(G: Graph, G2: Graph, i: int, i2: int) -> Graph:
@@ -217,11 +218,7 @@ def bridge(G: Graph, G2: Graph, i: int, i2: int) -> Graph:
     if not (1 <= i <= G.n and 1 <= i2 <= G2.n):
         raise DomainError("bridge endpoints out of range")
     n = G.n
-    _check_size(2 * n, "bridged graph size")
-    edges = set(G.edges)
-    edges.update((u + n, v + n) for u, v in G2.edges)
-    edges.add((i, i2 + n))
-    return Graph(2 * n, edges)
+    return _grow(G, 2 * n, chain([(i, i2 + n)], ((u + n, v + n) for u, v in G2.edges)))
 
 
 def attach_path(G: Graph, v: int, k: int) -> Graph:
@@ -230,13 +227,8 @@ def attach_path(G: Graph, v: int, k: int) -> Graph:
         raise DomainError(f"vertex {v} not in graph")
     if k < 1:
         raise DomainError("need k >= 1 vertices to attach")
-    _check_size(G.n + k, "graph size with the attached path")
-    edges = set(G.edges)
-    prev = v
-    for t in range(1, k + 1):
-        edges.add((prev, G.n + t))
-        prev = G.n + t
-    return Graph(G.n + k, edges)
+    new = range(G.n + 1, G.n + k + 1)
+    return _grow(G, G.n + k, zip(chain([v], new), new))
 
 
 def attach_tree(G: Graph, v: int, tree: Graph) -> Graph:
@@ -249,12 +241,8 @@ def attach_tree(G: Graph, v: int, tree: Graph) -> Graph:
         raise DomainError(f"vertex {v} not in graph")
     if not tree.is_tree:
         raise DomainError("attachment must be a tree")
-    relabel = {1: v}
-    for t in range(2, tree.n + 1):
-        relabel[t] = G.n + t - 1
-    edges = set(G.edges)
-    edges.update((relabel[u], relabel[w]) for u, w in tree.edges)
-    return Graph(G.n + tree.n - 1, edges)
+    relabel = (None, v, *range(G.n + 1, G.n + tree.n))
+    return _grow(G, G.n + tree.n - 1, ((relabel[u], relabel[w]) for u, w in tree.edges))
 
 
 def leaf_move(G: Graph, A, x: int, y: int) -> Graph:

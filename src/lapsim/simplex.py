@@ -150,7 +150,7 @@ def build(G: Graph) -> LaplacianSimplex:
     rows = tuple(tuple(accumulate(row[:-1])) for row in L)
     if any(map(sum, zip(*rows))):
         raise InternalInconsistencyError("a column of L_B does not sum to zero")
-    return LaplacianSimplex(G, rows, spanning_tree_count(G, L))
+    return LaplacianSimplex(G, rows, spanning_tree_count(G))
 
 
 def facets(S: LaplacianSimplex):

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapsim import analysis, cli, ehrhart, linalg
-from lapsim.errors import LapsimError
+from lapsim import analysis, cli, ehrhart, linalg, simplex as splx
+from lapsim.errors import InternalInconsistencyError, LapsimError
 from lapsim.graph import FAMILIES, MAX_N, Graph, family
 from oracles import narrow_group_packing, write_edge_list
 
@@ -69,6 +69,17 @@ def test_report_text_notes_are_one_joined_line():
         ["--family", "cycle", "--n", "5", "--n-range", "3:4", "report"],
         ["--n-range", "3:4", "verify-paper"],
         ["verify-paper", "--only", "nomatch"],
+        ["--family", "cycle", "--n", "5", "--count", "3", "--format", "csv", "report"],
+        ["--edge-list", "EDGES", "verify-paper", "--only", "C5"],
+        ["--family", "cycle", "verify-paper", "--only", "C5"],
+        ["--n", "5", "verify-paper", "--only", "C5"],
+        ["--seed", "3", "verify-paper", "--only", "C5"],
+        ["--whisker", "verify-paper", "--only", "C5"],
+        ["--bridge-with", "cycle:3", "verify-paper", "--only", "C5"],
+        ["--attach-path", "1:2", "verify-paper", "--only", "C5"],
+        ["--strategy", "generic_snf", "verify-paper", "--only", "C5"],
+        ["--fpp-cap", "0", "verify-paper", "--only", "C5"],
+        ["--format", "csv", "verify-paper", "--only", "C5"],
     ],
 )
 def test_ignored_or_meaningless_option_values_exit_2(argv, tmp_path, capsys):
@@ -117,6 +128,18 @@ def test_inconsistent_hstar_exits_3(monkeypatch, capsys):
         assert "error" not in text
         err = capsys.readouterr().err
         assert err.startswith("internal inconsistency: ") and err.count("\n") == 1
+
+
+def test_hibi_disagreement_exits_3(monkeypatch, capsys):
+    # symmetric h* with a non-reflexive simplex contradicts Hibi's theorem
+    reflexive = splx.is_reflexive
+    monkeypatch.setattr(splx, "is_reflexive", lambda S: not reflexive(S))
+    with pytest.raises(InternalInconsistencyError, match="h\\* symmetry disagrees"):
+        analysis.analyze(family("cycle", 5))
+    code, text = run(["--family", "cycle", "--n", "5", "report"])
+    assert code == cli.EXIT_INCONSISTENT and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: h* symmetry") and err.count("\n") == 1
 
 
 def test_report_strategy_override():
@@ -237,11 +260,26 @@ def test_missing_input_is_exit_2():
     assert run(["--family", "cycle", "report"])[0] == 2  # no --n
 
 
-def test_conflicting_inputs_exit_2(tmp_path):
+def test_conflicting_inputs_exit_2(tmp_path, capsys):
     path = tmp_path / "g.txt"
     write_edge_list(family("path", 3), path)
     code, _ = run(["--edge-list", str(path), "--family", "cycle", "--n", "3", "report"])
     assert code == 2
+    # without --n, the check of the two inputs answers
+    code, _ = run(["--edge-list", str(path), "--family", "cycle", "report"])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        "\nerror: give exactly one of --edge-list and --family\n"
+    )
+
+
+def test_batch_of_an_edge_list_writes_the_report_row(tmp_path):
+    path = tmp_path / "g.txt"
+    write_edge_list(family("cycle", 5), path)
+    code, text = run(["--edge-list", str(path), "batch"])
+    assert code == 0
+    assert text == run(["--edge-list", str(path), "--format", "csv", "report"])[1]
+    assert text.splitlines()[0] == cli.CSV_HEADER and len(text.splitlines()) == 2
 
 
 def test_missing_file_exit_2():
@@ -327,6 +365,7 @@ def test_parse_graph_spec_fuzz(spec):
         ["--family", "path", "--n", str(MAX_N // 2 + 1), "--bridge-with", f"path:{MAX_N // 2 + 1}"]
         + ["report"],
         ["--family", "path", "--n", "3", "--attach-path", f"1:{MAX_N - 2}", "report"],
+        ["--family", "path", "--n", "3", "--attach-path", "1:1000000000", "report"],
     ],
 )
 def test_operation_results_above_the_bound_exit_2(argv, capsys):
@@ -384,10 +423,12 @@ def test_cap_flag_softens_to_null_fields():
         assert d["notes"]
 
 
-def test_removed_idp_flag_exit_2():
+def test_removed_idp_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--family", "cycle", "--n", "6", "--idp-cap", "5", "report"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unexpected_exception_exits_3(monkeypatch, capsys):

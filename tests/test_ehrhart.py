@@ -272,6 +272,9 @@ def test_hstar_complete_small():
     assert ehrhart.hstar_complete(4).entries == (1, 31, 31, 1)
     for n in range(2, 7):
         assert ehrhart.hstar_complete(n).total == n ** (n - 1)
+    for n in (1, 0):
+        with pytest.raises(DomainError, match="needs n >= 2"):
+            ehrhart.hstar_complete(n)
 
 
 # -- strategy dispatch -------------------------------------------------------
@@ -316,6 +319,11 @@ def test_ehrhart_eval_basics():
     assert ehrhart.ehrhart_eval(h, 1) == 10
     with pytest.raises(DomainError):
         ehrhart.ehrhart_eval(h, -1)
+
+
+def test_count_dilate_points_rejects_a_negative_dilate():
+    with pytest.raises(DomainError, match="nonnegative"):
+        ehrhart.count_dilate_points(splx.build(g.family("cycle", 3)), -1)
 
 
 def test_ehrhart_eval_matches_dilate_scan():

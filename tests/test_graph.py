@@ -62,8 +62,8 @@ def test_graph_predicates():
 
 def test_degree_and_neighbors():
     G = g.family("star", 4)
-    assert G.degree(1) == 3
-    assert all(G.degree(v) == 1 for v in (2, 3, 4))
+    assert len(G.neighbors[1]) == 3
+    assert all(len(G.neighbors[v]) == 1 for v in (2, 3, 4))
     assert G.neighbors[1] == {2, 3, 4}
 
 
@@ -122,7 +122,7 @@ def test_laplacian_structure():
         assert shape(L) == (G.n, G.n)
         assert L == transpose(L)
         assert all(sum(L[i]) == 0 for i in range(G.n))
-        assert all(L[i][i] == G.degree(i + 1) for i in range(G.n))
+        assert all(L[i][i] == len(G.neighbors[i + 1]) for i in range(G.n))
 
 
 def test_spanning_tree_count_known_values():
@@ -147,7 +147,7 @@ def test_whisker():
     W = g.whisker(g.family("cycle", 4))
     assert W.n == 8
     assert W.num_edges == 8
-    assert all(W.degree(v) == 1 for v in (5, 6, 7, 8))
+    assert all(len(W.neighbors[v]) == 1 for v in (5, 6, 7, 8))
     assert all((i, 4 + i) in W.edges for i in range(1, 5))
 
 
@@ -204,6 +204,12 @@ def test_attach_tree_path_shape_matches_attach_path():
 def test_attach_tree_rejects_non_tree():
     with pytest.raises(DomainError):
         g.attach_tree(g.family("path", 3), 1, g.family("cycle", 3))
+
+
+def test_attach_tree_rejects_a_vertex_outside_the_graph():
+    for v in (0, 4):
+        with pytest.raises(DomainError, match=f"vertex {v} not in graph"):
+            g.attach_tree(g.family("path", 3), v, g.family("path", 2))
 
 
 def test_leaf_move():
@@ -272,6 +278,22 @@ def test_operations_reject_results_above_the_bound():
         assert exc.value.required > g.MAX_N
     assert g.whisker(g.family("path", g.MAX_N // 2)).n <= g.MAX_N
     assert g.attach_path(g.family("path", 3), 1, g.MAX_N - 3).n == g.MAX_N
+
+
+def test_attach_tree_and_random_graphs_reject_sizes_above_the_bound():
+    path = g.family("path", 300)
+    with pytest.raises(FeasibilityError) as exc:
+        g.attach_tree(path, 1, path)
+    assert exc.value.required == 599
+    with pytest.raises(FeasibilityError) as exc:
+        g.random_connected_graph(g.MAX_N + 1, seed=1)
+    assert exc.value.required == g.MAX_N + 1
+    # the sizes alone refuse a path of 10^9 vertices: none of its edges is made
+    with pytest.raises(FeasibilityError) as exc:
+        g.attach_path(path, 1, 10**9)
+    assert exc.value.required == 300 + 10**9
+    assert g.attach_tree(g.family("path", 250), 1, g.family("path", 251)).n == g.MAX_N
+    assert g.random_connected_graph(g.MAX_N, seed=1).n == g.MAX_N
 
 
 # mostly u < v inside [1, 5], sometimes any pair in [0, 6]
