@@ -39,6 +39,9 @@ READS = {
     "batch": _GRAPH_OPTIONS + ("n_range", "count"),
     "verify-paper": (),
 }
+# The value of each global option not given, where not None.  The parser records
+# only the options given, so a command refuses an unread one at any value.
+_DEFAULTS = {"count": 1, "seed": 0, "whisker": False, "fpp_cap": ehrhart.DEFAULT_FPP_CAP}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,14 +57,15 @@ def build_parser():
     p = _Parser(
         prog="lapsim",
         description="Exact Ehrhart-theoretic analysis of Laplacian simplices.",
+        argument_default=argparse.SUPPRESS,
     )
     src = p.add_argument_group("input source (choose one)")
     src.add_argument("--edge-list", metavar="PATH", help="edge-list file")
     src.add_argument("--family", choices=graphs.FAMILIES, help="named graph family")
     p.add_argument("--n", type=int, help="vertex count for --family")
     p.add_argument("--n-range", metavar="A:B", help="inclusive range of n for batch")
-    p.add_argument("--count", type=int, default=1, help="instances per n (random families)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random families")
+    p.add_argument("--count", type=int, help="instances per n (random families)")
+    p.add_argument("--seed", type=int, help="seed for random families")
     p.add_argument("--whisker", action="store_true", help="whisker every vertex")
     p.add_argument(
         "--bridge-with",
@@ -72,12 +76,8 @@ def build_parser():
         "--attach-path", metavar="V:K", help="attach a path of K vertices at vertex V"
     )
     p.add_argument("--strategy", choices=ehrhart.STRATEGIES, help="h* strategy override")
-    p.add_argument(
-        "--fpp-cap", type=int, default=ehrhart.DEFAULT_FPP_CAP, help="walk size cap (h* and IDP)"
-    )
-    p.add_argument(
-        "--format", choices=("text", "json", "csv"), default=None, help="output format"
-    )
+    p.add_argument("--fpp-cap", type=int, help="walk size cap (h* and IDP)")
+    p.add_argument("--format", choices=("text", "json", "csv"), help="output format")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("report", help="full property report for one graph")
     sub.add_parser("batch", help="one CSV row per graph over a range")
@@ -173,20 +173,13 @@ def _n_range(spec):
     return range(a, b + 1)
 
 
-@functools.cache
-def _unread_defaults(command):
-    """(name, default) of each global option that ``command`` does not read."""
-    parser = build_parser()
-    return tuple(
-        (dest, parser.get_default(dest)) for dest in READS["batch"] if dest not in READS[command]
-    )
-
-
 def _check_options(args):
-    """Reject option values that would otherwise be ignored or silently changed."""
-    for dest, default in _unread_defaults(args.command):
-        if getattr(args, dest) != default:
+    """Reject option values that would be ignored or changed; fill in those not given."""
+    given = vars(args)
+    for dest in READS["batch"]:
+        if dest in given and dest not in READS[args.command]:
             raise DomainError(f"{args.command} does not read --{dest.replace('_', '-')}")
+        given.setdefault(dest, _DEFAULTS.get(dest))
     if args.fpp_cap < 0:
         raise DomainError(f"--fpp-cap must be >= 0, got {args.fpp_cap}")
     if args.count < 1:

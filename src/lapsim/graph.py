@@ -2,13 +2,16 @@
 
 Vertices are labeled 1..n throughout, matching the usual [n] convention, so
 row/column bookkeeping in the linear algebra lines up with the definitions.
-Graphs are immutable; every operation returns a new Graph.
+Graphs are immutable; every operation returns a new Graph.  One pass over the
+edges validates a Graph: a self-loop, an endpoint outside 1..n or a disconnected
+edge set raises ``DomainError``.  ``neighbors`` is built anew on each read.
 """
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -33,15 +36,11 @@ def _check_size(n: int, what: str):
         )
 
 
-def _normalize_edges(edges):
-    out = set()
-    for e in edges:
-        u, v = e
-        u, v = int(u), int(v)
-        if u == v:
-            raise DomainError(f"self-loop at vertex {u}")
-        out.add((min(u, v), max(u, v)))
-    return frozenset(out)
+def _root(parent, x):
+    """The root of x's tree in the union-find forest ``parent``, halving the path."""
+    while (p := parent.get(x, x)) != x:
+        parent[x] = x = parent.get(p, p)  # point x at its grandparent, then go there
+    return x
 
 
 @dataclass(frozen=True)
@@ -52,30 +51,34 @@ class Graph:
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("graph needs at least one vertex")
-        edges = _normalize_edges(self.edges)
-        object.__setattr__(self, "edges", edges)
-        for u, v in edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise DomainError(f"edge ({u},{v}) out of range for n={self.n}")
-        # fewer than n - 1 edges cannot connect n vertices; rejecting that
-        # first keeps a huge vertex count from allocating one set per vertex
-        if len(edges) < self.n - 1 or not self._connected():
-            raise DomainError("graph must be connected")
+        """Normalize the edges to pairs u < v; a union-find counts the components.
 
-    def _connected(self):
-        if self.n == 1:
-            return True
-        adj = self.neighbors
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        Nothing is made per vertex, so ``Graph(10**9, [])`` is refused at once.
+        """
+        n = self.n
+        if n < 1:
+            raise DomainError("graph needs at least one vertex")
+        edges, parent, outside, components = set(), {}, None, n
+        for u, v in self.edges:
+            u, v = int(u), int(v)
+            if u == v:
+                raise DomainError(f"self-loop at vertex {u}")
+            if u > v:
+                u, v = v, u
+            edges.add((u, v))
+            if u < 1 or v > n:  # raised after the pass: a self-loop or bad int comes first
+                outside = outside or (u, v)
+                continue
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru != rv:
+                parent[rv] = ru
+                components -= 1
+        if outside:
+            u, v = outside
+            raise DomainError(f"edge ({u},{v}) out of range for n={n}")
+        if components != 1:
+            raise DomainError("graph must be connected")
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @property
     def neighbors(self):
@@ -95,7 +98,10 @@ class Graph:
 
     @property
     def is_cycle(self):
-        return self.n >= 3 and all(len(s) == 2 for s in self.neighbors.values())
+        if self.n < 3 or self.num_edges != self.n:
+            return False
+        # connected with n edges: the n degrees sum to 2n and none is below 1
+        return max(Counter(chain.from_iterable(self.edges)).values()) == 2
 
     @property
     def is_complete(self):
@@ -166,14 +172,13 @@ def _random_tree_edges(n, rng):
     for v in seq:
         degree[v] += 1
     edges = []
-    leaves = sorted(v for v in degree if degree[v] == 1)
+    # a heap of the current leaves, ascending at first: the smallest goes first
+    leaves = [v for v in degree if degree[v] == 1]
     for v in seq:
-        leaf = leaves.pop(0)
-        edges.append((leaf, v))
+        edges.append((heapq.heappop(leaves), v))
         degree[v] -= 1
         if degree[v] == 1:
-            # keep the candidate list sorted for determinism
-            bisect.insort(leaves, v)
+            heapq.heappush(leaves, v)
     edges.append((leaves[0], leaves[1]))
     return edges
 
@@ -182,7 +187,7 @@ def random_connected_graph(n: int, seed=None, extra_edges=None) -> Graph:
     """Random spanning tree plus a few extra edges; used for seeded sweeps."""
     _check_size(n, "random graph size")
     rng = random.Random(seed)
-    edges = set(_normalize_edges(_random_tree_edges(n, rng)))
+    edges = {(min(e), max(e)) for e in _random_tree_edges(n, rng)}
     non_edges = [
         (i, j)
         for i in range(1, n + 1)

@@ -3,15 +3,15 @@
 These use rational Gauss elimination, Laplace expansion, a memoised cone
 search, a dense change-of-basis product, the coordinates r M / q of each
 parallelepiped point, the odd-cycle kernel sum, a box scan of each dilate,
-and both cofactor criteria by their definitions, one determinant per minor;
-the library itself runs none of these methods, so agreement is a real
-cross-check.  The helpers after them (matrix and row-vector products, row
-and column deletion, primitivity, unimodularity, the origin's barycentric
-coordinates from a fresh adjugate, the lattice points of the simplex from
-the box scan, equivalence certificates, the edge-list writer, a simplex with
-its last row shifted, and ``mutant``, ``broken_cofactor_tests`` and
-``broken_facets`` for the mutation tests) have no caller in the library and
-live here for the tests alone.
+both cofactor criteria by their definitions (one determinant per minor)
+and a BFS over a graph's normalized edge pairs; the library itself runs none
+of these methods, so agreement is a real cross-check.  The helpers after them
+(matrix and row-vector products, row and column deletion, primitivity,
+unimodularity, the origin's barycentric coordinates from a fresh adjugate,
+the lattice points of the simplex from the box scan, equivalence
+certificates, the edge-list writer, a simplex with its last row shifted, and
+``mutant``, ``broken_cofactor_tests`` and ``broken_facets`` for the mutation
+tests) have no caller in the library and live here for the tests alone.
 
 A matrix is a tuple of int rows, as in the library.
 """
@@ -312,6 +312,39 @@ def canonical_tree_simplex(d: int):
     if d < 1:
         raise DomainError("dimension must be >= 1")
     return identity(d) + ((-1,) * d,)
+
+
+def connected_edges_by_bfs(n, edges):
+    """The edges of a simple connected graph on 1..n as pairs u < v, by a BFS.
+
+    Raises as ``Graph`` does, checking in stages: ``DomainError`` for n < 1,
+    then a self-loop, then an endpoint outside 1..n, then a vertex that the
+    BFS from vertex 1 does not reach; a pair that does not unpack to two ints
+    raises ``int``'s or the unpacking's own error.
+    """
+    if n < 1:
+        raise DomainError("graph needs at least one vertex")
+    pairs = set()
+    for e in edges:
+        u, v = sorted(int(x) for x in e)
+        if u == v:
+            raise DomainError(f"self-loop at vertex {u}")
+        pairs.add((u, v))
+    if any(u < 1 or v > n for u, v in pairs):
+        raise DomainError(f"an edge is out of range for n={n}")
+    adj = {}
+    for u, v in pairs:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen, queue = {1}, [1]
+    for u in queue:
+        for w in adj.get(u, ()):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if len(seen) != n:
+        raise DomainError("graph must be connected")
+    return frozenset(pairs)
 
 
 def format_edge_list(G) -> str:

@@ -80,6 +80,10 @@ def test_report_text_notes_are_one_joined_line():
         ["--strategy", "generic_snf", "verify-paper", "--only", "C5"],
         ["--fpp-cap", "0", "verify-paper", "--only", "C5"],
         ["--format", "csv", "verify-paper", "--only", "C5"],
+        # an unread option is refused at its default value too
+        ["--seed", "0", "verify-paper", "--only", "C5"],
+        ["--fpp-cap", str(ehrhart.DEFAULT_FPP_CAP), "verify-paper", "--only", "C5"],
+        ["--family", "cycle", "--n", "5", "--count", "1", "report"],
     ],
 )
 def test_ignored_or_meaningless_option_values_exit_2(argv, tmp_path, capsys):

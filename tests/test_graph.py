@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from lapsim import graph as g
 from lapsim.errors import DomainError, FeasibilityError, LapsimError
 from lapsim.graph import Graph
-from oracles import format_edge_list, shape, transpose, write_edge_list
+from oracles import connected_edges_by_bfs, format_edge_list, shape, transpose, write_edge_list
 
 
 def brute_spanning_tree_count(G):
@@ -51,6 +52,55 @@ def test_graph_rejects_disconnected():
         Graph(2, [])
 
 
+def _constructor_input(rng):
+    """(n, edges) of a small Graph input, often with one or more faults."""
+    n = rng.choice((0, 1, 1, 2, 3, 4, 5, 6))
+    order = rng.sample(range(1, n + 1), n)
+    # often a random spanning tree, its pairs in either order, so that some inputs are valid
+    edges = [(order[i], order[rng.randrange(i)]) for i in range(1, n)] if rng.random() < 0.7 else []
+    if edges and rng.random() < 0.3:
+        edges.append(rng.choice(edges)[::-1])  # a duplicate, reversed
+    # random pairs add chords, duplicates, self-loops and endpoints out of range
+    edges += [(rng.randint(0, n + 1), rng.randint(0, n + 1)) for _ in range(rng.randint(0, 3))]
+    edges = [tuple(str(x) if rng.random() < 0.1 else x for x in e) for e in edges]  # "3"-style
+    if rng.random() < 0.03:
+        edges.append((1, "x"))
+    rng.shuffle(edges)
+    return n, edges
+
+
+def _outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_graph_validation_matches_a_bfs_reference():
+    rng = random.Random(2017)
+    outcomes = []
+    for _ in range(3000):
+        n, edges = _constructor_input(rng)
+        expected = _outcome(connected_edges_by_bfs, n, edges)
+        assert _outcome(lambda n, e: Graph(n, e).edges, n, edges) == expected, (n, edges)
+        outcomes.append(expected if isinstance(expected, type) else frozenset)
+    # the inputs reach every outcome: accepted, refused, and int() failing
+    assert {frozenset, DomainError, ValueError} == set(outcomes)
+    assert outcomes.count(frozenset) > 500
+
+
+@pytest.mark.parametrize("kind", ["complete", "path", "star"])
+def test_graph_validation_is_no_slower_than_the_bfs_reference(kind):
+    # a union-find that went quadratic would lose to the linear BFS on K_500
+    n = g.MAX_N
+    edges = g.family(kind, n).sorted_edges()
+
+    def best(build):
+        return min(timeit.repeat(lambda: build(n, edges), number=1, repeat=3))
+
+    assert best(Graph) <= best(connected_edges_by_bfs)
+
+
 def test_graph_predicates():
     assert g.family("path", 4).is_tree
     assert g.family("cycle", 4).is_cycle
@@ -58,6 +108,7 @@ def test_graph_predicates():
     assert not g.family("cycle", 4).is_tree
     assert g.family("star", 5).is_tree
     assert g.family("complete", 3).is_cycle  # K3 is also C3
+    assert not g.attach_path(g.family("cycle", 3), 1, 1).is_cycle  # n edges, one degree 3
 
 
 def test_degree_and_neighbors():
@@ -104,6 +155,9 @@ def test_random_tree_deterministic_per_seed():
     c = g.family("random_tree", 9, seed=43)
     assert a.edges == b.edges
     assert a.is_tree and c.is_tree
+    # the Pruefer decoding is pinned edge for edge
+    assert a.sorted_edges() == [(1, 5), (1, 7), (2, 3), (2, 6), (2, 9), (3, 4), (4, 5), (4, 8)]
+    assert c.sorted_edges() == [(1, 4), (1, 5), (2, 6), (2, 8), (3, 5), (3, 8), (6, 7), (8, 9)]
 
 
 def test_random_connected_graph_deterministic():
@@ -259,7 +313,7 @@ def test_parse_rejects_huge_header_without_edges():
     with pytest.raises(FeasibilityError) as exc:
         g.parse_edge_list("1000000000 0\n")
     assert exc.value.required == 10**9
-    # too few edges to connect: rejected before one set per vertex is built
+    # too few edges to connect: rejected with no set per vertex built
     with pytest.raises(DomainError, match="connected"):
         g.parse_edge_list(f"{g.MAX_N} 0\n")
     with pytest.raises(DomainError, match="connected"):
