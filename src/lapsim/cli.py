@@ -6,6 +6,9 @@ Usage sketch::
     lapsim --family cycle --n-range 3:9 --format csv batch
     lapsim verify-paper [--only cycles]
 
+One step, ``_check_options``, decides what an invocation reads, needs and means, and
+parses each option value once; the per-graph code only builds from those values.
+
 Exit codes: 0 success, 1 regression failure, 2 input error, 3 internal
 inconsistency or any other unexpected error.
 """
@@ -28,20 +31,13 @@ EXIT_INCONSISTENT = 3
 
 CSV_HEADER = "n,kappa,volume,hstar,reflexive,ell,symmetric,unimodal,idp,notes"
 
-# The global options each command reads, batch all of them; giving any other
-# one is an error.
-_GRAPH_OPTIONS = (
-    "edge_list", "family", "n", "seed", "whisker", "bridge_with", "attach_path",
-    "strategy", "fpp_cap", "format",
-)
-READS = {
-    "report": _GRAPH_OPTIONS,
-    "batch": _GRAPH_OPTIONS + ("n_range", "count"),
-    "verify-paper": (),
+# Every global option and its value when not given.  The parser records only the
+# options given, so ``_check_options`` can refuse one that is not read at any value.
+_DEFAULTS = {
+    "edge_list": None, "family": None, "n": None, "n_range": None, "count": 1, "seed": 0,
+    "whisker": False, "bridge_with": None, "attach_path": None, "strategy": None,
+    "fpp_cap": ehrhart.DEFAULT_FPP_CAP, "format": None,
 }
-# The value of each global option not given, where not None.  The parser records
-# only the options given, so a command refuses an unread one at any value.
-_DEFAULTS = {"count": 1, "seed": 0, "whisker": False, "fpp_cap": ehrhart.DEFAULT_FPP_CAP}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,7 +66,7 @@ def build_parser():
     p.add_argument(
         "--bridge-with",
         metavar="SPEC",
-        help="bridge with a second graph: 'family:n[:seed]' or an edge-list path",
+        help="bridge with 'family:n', 'random_tree:n[:seed]' or an edge-list path",
     )
     p.add_argument(
         "--attach-path", metavar="V:K", help="attach a path of K vertices at vertex V"
@@ -86,42 +82,41 @@ def build_parser():
     return p
 
 
+def _int_pair(option, spec, want):
+    try:
+        a, b = (int(tok) for tok in spec.split(":"))
+    except ValueError as exc:
+        raise DomainError(f"bad {option} {spec!r}; want {want}") from exc
+    return a, b
+
+
 def _parse_graph_spec(spec):
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3):
-            raise DomainError(f"bad graph spec {spec!r}; want family:n[:seed]")
-        try:
-            n = int(parts[1])
-            seed = int(parts[2]) if len(parts) == 3 else None
-        except ValueError as exc:
-            raise DomainError(f"bad graph spec {spec!r}; n and seed must be integers") from exc
-        return graphs.family(parts[0], n, seed=seed)
-    return graphs.read_edge_list(spec)
+    """The graph of ``--bridge-with``: an edge-list path, or 'family:n', where
+    random_tree also takes a seed, 'random_tree:n[:seed]', 0 by default like ``--seed``."""
+    if ":" not in spec:
+        return graphs.read_edge_list(spec)
+    kind, *numbers = spec.split(":")
+    if len(numbers) > 1 + (kind == "random_tree"):
+        raise DomainError(f"bad graph spec {spec!r}; want family:n or random_tree:n[:seed]")
+    try:
+        n, seed = int(numbers[0]), int(numbers[1]) if len(numbers) == 2 else 0
+    except ValueError as exc:
+        raise DomainError(f"bad graph spec {spec!r}; n and seed must be integers") from exc
+    return graphs.family(kind, n, seed=seed)
 
 
-def _resolve_graph(args, n=None, seed=None):
-    if args.edge_list and args.family:
-        raise DomainError("give exactly one of --edge-list and --family")
-    if args.edge_list:
+def _resolve_graph(args, n, seed):
+    """Build one graph from the values that ``_check_options`` parsed."""
+    if args.edge_list is not None:
         G = graphs.read_edge_list(args.edge_list)
-    elif args.family:
-        n = n if n is not None else args.n
-        if n is None:
-            raise DomainError("--family requires --n (or --n-range for batch)")
-        G = graphs.family(args.family, n, seed=seed if seed is not None else args.seed)
     else:
-        raise DomainError("no input: give --edge-list or --family")
+        G = graphs.family(args.family, n, seed=seed)
     if args.whisker:
         G = graphs.whisker(G)
     if args.bridge_with:
-        G = graphs.bridge(G, _parse_graph_spec(args.bridge_with), 1, 1)
+        G = graphs.bridge(G, args.bridge_with, 1, 1)
     if args.attach_path:
-        try:
-            v, k = (int(tok) for tok in args.attach_path.split(":"))
-        except ValueError as exc:
-            raise DomainError(f"bad --attach-path {args.attach_path!r}; want V:K") from exc
-        G = graphs.attach_path(G, v, k)
+        G = graphs.attach_path(G, *args.attach_path)
     return G
 
 
@@ -162,40 +157,55 @@ def _csv_row(report):
     return [row[key] for key in CSV_HEADER.split(",")]
 
 
-def _n_range(spec):
-    """The n of ``--n-range A:B``, A to B inclusive; an empty range is an error."""
-    try:
-        a, b = (int(tok) for tok in spec.split(":"))
-    except ValueError as exc:
-        raise DomainError(f"bad --n-range {spec!r}; want A:B") from exc
-    if a > b:
-        raise DomainError(f"--n-range {spec!r} is empty; want A <= B")
-    return range(a, b + 1)
-
-
 def _check_options(args):
-    """Reject option values that would be ignored or changed; fill in those not given."""
-    given = vars(args)
-    for dest in READS["batch"]:
-        if dest in given and dest not in READS[args.command]:
-            raise DomainError(f"{args.command} does not read --{dest.replace('_', '-')}")
-        given.setdefault(dest, _DEFAULTS.get(dest))
+    """Decide once what this invocation reads, needs and means, and parse it.
+
+    ``verify-paper`` reads no global option.  ``report`` and ``batch`` read exactly one
+    input, the operations, ``--strategy``, ``--fpp-cap`` and ``--format``; with
+    ``--family`` also a size (``--n``, or in batch without it ``--n-range``), and with
+    ``--family random_tree`` also ``--seed`` and, in batch, ``--count``.  Any other option
+    given is refused at any value.  The values that need parsing are parsed here, and
+    the ``--bridge-with`` graph is built here, so a bad one exits before any row.
+    """
+    given, invocation, reads = vars(args), args.command, set()
+    if args.command != "verify-paper":
+        if ("edge_list" in given) == ("family" in given):
+            raise DomainError("give exactly one of --edge-list and --family")
+        reads = {"edge_list", "family", "whisker", "bridge_with", "attach_path"}
+        reads |= {"strategy", "fpp_cap", "format"}
+        if "edge_list" in given:
+            invocation += " --edge-list"
+        else:
+            size = "n" if args.command == "report" or "n" in given else "n_range"
+            if size not in given:
+                raise DomainError("--family requires --n (or --n-range for batch)")
+            invocation += f" --family {args.family} --{size.replace('_', '-')}"
+            reads.add(size)
+            if args.family == "random_tree":
+                reads |= {"seed", "count"} if args.command == "batch" else {"seed"}
+    for dest, default in _DEFAULTS.items():
+        if dest in given and dest not in reads:
+            raise DomainError(f"{invocation} does not read --{dest.replace('_', '-')}")
+        given.setdefault(dest, default)
     if args.fpp_cap < 0:
         raise DomainError(f"--fpp-cap must be >= 0, got {args.fpp_cap}")
     if args.count < 1:
         raise DomainError(f"--count must be >= 1, got {args.count}")
     if args.command == "batch" and args.format not in (None, "csv"):
         raise DomainError(f"batch writes CSV only, not --format {args.format}")
-    if args.n_range:
-        _n_range(args.n_range)  # raises on a bad or empty range
-        if args.n is not None or args.edge_list:
-            raise DomainError("--n-range is for --family, without --n")
-    if args.edge_list and args.n is not None:
-        raise DomainError("--n is for --family, not --edge-list")
+    if args.n_range is not None:
+        a, b = _int_pair("--n-range", args.n_range, "A:B")
+        if a > b:
+            raise DomainError(f"--n-range {args.n_range!r} is empty; want A <= B")
+        args.n_range = range(a, b + 1)
+    if args.attach_path is not None:
+        args.attach_path = _int_pair("--attach-path", args.attach_path, "V:K")
+    if args.bridge_with is not None:
+        args.bridge_with = _parse_graph_spec(args.bridge_with)
 
 
 def cmd_report(args, out):
-    report = _analyze(args, _resolve_graph(args))
+    report = _analyze(args, _resolve_graph(args, args.n, args.seed))
     fmt = args.format or "json"
     if fmt == "json":
         out.write(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -207,27 +217,16 @@ def cmd_report(args, out):
 
 
 def _batch_targets(args):
-    if args.n_range:
-        ns = _n_range(args.n_range)
-    elif args.n is not None:
-        ns = [args.n]
-    elif args.edge_list:
-        ns = [None]
-    else:
-        raise DomainError("batch needs --n-range, --n, or --edge-list")
-    targets = []
-    for n in ns:
-        for rep in range(args.count):
-            targets.append((n, args.seed + rep))
-    return targets
+    """The (n, seed) of each row: n is None for an edge list."""
+    ns = args.n_range or [args.n]
+    return [(n, args.seed + rep) for n in ns for rep in range(args.count)]
 
 
 def cmd_batch(args, out):
-    targets = _batch_targets(args)
     writer = _csv_writer(out)
-    for n, seed in targets:
+    for n, seed in _batch_targets(args):
         try:
-            row = _csv_row(_analyze(args, _resolve_graph(args, n=n, seed=seed)))
+            row = _csv_row(_analyze(args, _resolve_graph(args, n, seed)))
         except (DomainError, FeasibilityError) as exc:  # this row's input, not a bug
             row = [n, *[None] * 8, f"error: {exc}"]
         writer.writerow(row)

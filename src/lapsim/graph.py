@@ -10,6 +10,7 @@ edge set raises ``DomainError``.  ``neighbors`` is built anew on each read.
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,9 +54,10 @@ class Graph:
     def __post_init__(self):
         """Normalize the edges to pairs u < v; a union-find counts the components.
 
-        Nothing is made per vertex, so ``Graph(10**9, [])`` is refused at once.
+        Nothing is made per vertex, so ``Graph(10**9, [])`` is refused at once.  n goes
+        through ``operator.index``, so a float n raises ``TypeError`` here, as ``range`` would.
         """
-        n = self.n
+        n = operator.index(self.n)
         if n < 1:
             raise DomainError("graph needs at least one vertex")
         edges, parent, outside, components = set(), {}, None, n
@@ -78,6 +80,7 @@ class Graph:
             raise DomainError(f"edge ({u},{v}) out of range for n={n}")
         if components != 1:
             raise DomainError("graph must be connected")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(edges))
 
     @property

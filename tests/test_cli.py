@@ -4,8 +4,10 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,20 @@ def test_report_text_notes_are_one_joined_line():
         ["--seed", "0", "verify-paper", "--only", "C5"],
         ["--fpp-cap", str(ehrhart.DEFAULT_FPP_CAP), "verify-paper", "--only", "C5"],
         ["--family", "cycle", "--n", "5", "--count", "1", "report"],
+        # --seed and --count are read only with --family random_tree
+        ["--family", "cycle", "--n", "5", "--seed", "7", "report"],
+        ["--edge-list", "EDGES", "--seed", "2", "report"],
+        ["--family", "cycle", "--n", "5", "--count", "3", "batch"],
+        ["--edge-list", "EDGES", "--count", "2", "batch"],
+        # a --bridge-with spec takes a seed for random_tree only
+        ["--family", "cycle", "--n", "5", "--bridge-with", "cycle:5:9", "report"],
+        # a malformed value exits before batch writes any row, the header included
+        ["--family", "cycle", "--n", "5", "--attach-path", "x", "batch"],
+        ["--family", "cycle", "--n", "5", "--bridge-with", "cycle:x", "batch"],
+        ["--family", "cycle", "--n", "5", "--bridge-with", "/nonexistent/g.txt", "batch"],
+        # an empty value is given, not absent
+        ["--family", "cycle", "--n", "5", "--attach-path", "", "report"],
+        ["--family", "cycle", "--n", "5", "--bridge-with", "", "report"],
     ],
 )
 def test_ignored_or_meaningless_option_values_exit_2(argv, tmp_path, capsys):
@@ -179,6 +195,26 @@ def test_report_operations():
     assert json.loads(text)["graph"]["n"] == 5
 
 
+def test_bridge_with_random_tree_defaults_to_seed_0():
+    argv = ["--family", "path", "--n", "5", "--bridge-with", "random_tree:5", "report"]
+    runs = [json.loads(run(argv)[1])["graph"]["edges"] for _ in range(2)]
+    seeded = json.loads(run(argv[:5] + ["random_tree:5:0", "report"])[1])["graph"]["edges"]
+    assert runs == [seeded, seeded]
+
+
+def test_batch_reads_the_bridge_with_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "g.txt"
+    write_edge_list(family("cycle", 4), path)
+    argv = ["--family", "random_tree", "--n", "4", "--bridge-with", str(path)]
+    reports = [run(argv + ["--seed", str(seed), "--format", "csv", "report"])[1] for seed in range(3)]
+    calls = []
+    read = cli.graphs.read_edge_list
+    monkeypatch.setattr(cli.graphs, "read_edge_list", lambda p: calls.append(p) or read(p))
+    code, text = run(argv + ["--count", "3", "batch"])
+    assert code == 0 and calls == [str(path)]
+    assert text.splitlines() == [cli.CSV_HEADER] + [r.splitlines()[1] for r in reports]
+
+
 # -- batch -------------------------------------------------------------------
 
 
@@ -254,6 +290,20 @@ def test_verify_paper_reports_failures_and_exits_1(monkeypatch):
         "FAIL  test/fails",
         "1/3 checks passed",
     ]
+
+
+def _readme_cli_lines():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("lapsim ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_exit_0(line, tmp_path):
+    path = tmp_path / "graph.txt"
+    write_edge_list(family("cycle", 5), path)
+    argv = [str(path) if arg == "graph.txt" else arg for arg in shlex.split(line)[1:]]
+    assert run(argv)[0] == 0
 
 
 # -- errors and environment --------------------------------------------------

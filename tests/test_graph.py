@@ -52,6 +52,12 @@ def test_graph_rejects_disconnected():
         Graph(2, [])
 
 
+@pytest.mark.parametrize("n", [3.0, 2.5])
+def test_graph_rejects_a_non_integral_n(n):
+    with pytest.raises(TypeError):
+        Graph(n, [(1, 2), (2, 3)])
+
+
 def _constructor_input(rng):
     """(n, edges) of a small Graph input, often with one or more faults."""
     n = rng.choice((0, 1, 1, 2, 3, 4, 5, 6))
