@@ -265,7 +265,7 @@ def _fm_systems(S: LaplacianSimplex, t: int):
     return systems
 
 
-def count_dilate_points(S: LaplacianSimplex, t: int, cap: int = DEFAULT_SCAN_CAP) -> int:
+def count_dilate_points(S: LaplacianSimplex, t: int) -> int:
     """Exact |tS intersect Z^d| from the facets alone; independent oracle.
 
     Never reads the parallelepiped walk: the bounds come from ``_fm_systems``,
@@ -279,14 +279,12 @@ def count_dilate_points(S: LaplacianSimplex, t: int, cap: int = DEFAULT_SCAN_CAP
     valid but need not be tight, so a prefix may have no point; the last
     coordinate is bounded by the full facet system, which decides exactly,
     and its range is counted at once.  Each candidate of an earlier
-    coordinate counts 1 towards ``cap``, and each range of the last
-    coordinate its length.  The recursion is d = n - 1 frames deep, under
-    Python's default limit up to ``graph.MAX_N``.
+    coordinate counts 1 towards ``DEFAULT_SCAN_CAP``, and each range of the
+    last coordinate its length.  The recursion is d = n - 1 frames deep,
+    under Python's default limit up to ``graph.MAX_N``.
     """
     if t < 0:
         raise DomainError("dilate factor must be nonnegative")
-    if cap < 0:
-        raise DomainError(f"dilate scan cap must be >= 0, got {cap}")
     systems = _fm_systems(S, t)
     # the inequalities that bound x_j from below and from above, as
     # (coefficients of x_0..x_{j-2}, coefficient of x_{j-1}, r, |c_j|);
@@ -307,9 +305,9 @@ def count_dilate_points(S: LaplacianSimplex, t: int, cap: int = DEFAULT_SCAN_CAP
         if lo > hi:
             return 0
         visited += hi - lo + 1
-        if visited > cap:
+        if visited > DEFAULT_SCAN_CAP:
             raise FeasibilityError(
-                f"dilate scan exceeded cap of {cap} candidates", required=visited
+                f"dilate scan exceeded cap of {DEFAULT_SCAN_CAP} candidates", required=visited
             )
         if j == last:
             return hi - lo + 1

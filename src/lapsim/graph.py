@@ -54,15 +54,17 @@ class Graph:
     def __post_init__(self):
         """Normalize the edges to pairs u < v; a union-find counts the components.
 
-        Nothing is made per vertex, so ``Graph(10**9, [])`` is refused at once.  n goes
-        through ``operator.index``, so a float n raises ``TypeError`` here, as ``range`` would.
+        Nothing is made per vertex, so ``Graph(10**9, [])`` is refused at once.  n and each
+        endpoint but a str (``"3"`` is read as 3) go through ``operator.index``, so a float
+        raises ``TypeError`` here instead of being truncated to another vertex.
         """
         n = operator.index(self.n)
         if n < 1:
             raise DomainError("graph needs at least one vertex")
         edges, parent, outside, components = set(), {}, None, n
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            u = int(u) if isinstance(u, str) else operator.index(u)
+            v = int(v) if isinstance(v, str) else operator.index(v)
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             if u > v:
@@ -141,9 +143,11 @@ def spanning_tree_count(G: Graph) -> int:
     return kappa
 
 
-def family(kind: str, n: int, seed=None) -> Graph:
+def family(kind: str, n: int, seed=0) -> Graph:
     """Build a named graph family with canonical labeling.
 
+    Only ``random_tree`` reads ``seed``; it is 0 by default, like the CLI's
+    ``--seed``, so every call with the same arguments builds the same graph.
     Raises ``FeasibilityError`` before building anything when n is above
     ``MAX_N``.
     """
@@ -186,8 +190,8 @@ def _random_tree_edges(n, rng):
     return edges
 
 
-def random_connected_graph(n: int, seed=None, extra_edges=None) -> Graph:
-    """Random spanning tree plus a few extra edges; used for seeded sweeps."""
+def random_connected_graph(n: int, seed=0, extra_edges=None) -> Graph:
+    """Random spanning tree plus a few extra edges; used for seeded sweeps (seed 0 by default)."""
     _check_size(n, "random graph size")
     rng = random.Random(seed)
     edges = {(min(e), max(e)) for e in _random_tree_edges(n, rng)}

@@ -3,10 +3,10 @@
 A matrix is a sequence of rows of Python ints (arbitrary precision), and a
 matrix returned here is a tuple of int tuples.  ``determinant`` and
 ``inverse_scaled`` raise ``ShapeError`` on an empty, ragged or non-square
-matrix.  Every routine here is integer-only: fraction-free (Bareiss)
-elimination for determinants and the adjugate, and extended-gcd row
-reduction modulo a determinant for echelon bases of lattices that contain
-qZ^n.  Nothing here ever touches floating point.
+matrix.  Every routine here is integer-only: one fraction-free (Bareiss)
+elimination, ``_eliminate``, behind both the determinant and the adjugate,
+and extended-gcd row reduction modulo a determinant for echelon bases of
+lattices that contain qZ^n.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -17,68 +17,27 @@ from typing import NamedTuple
 from .errors import DomainError, InternalInconsistencyError, ShapeError, SingularMatrixError
 
 
-def determinant(M) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _eliminate(a, n, every_row):
+    """Reduce the first n columns of the n rows ``a`` in place, fraction-free.
 
-    Step k replaces each row i > k with a_ik != 0 by (a_kk row_i - a_ik row_k)
-    / prev, exact as every entry is then a minor (Bareiss, Math. Comp. 1968).
-    A row with a_ik == 0 would only be scaled by a_kk / prev: it stays stale,
-    holding its value times scale[i] / prev, until one exact division brings
-    it up to date when it is next used.
+    Step k takes the first row at or below k with a nonzero a_ik as the pivot
+    row, and clears column k from the rows below it (Bareiss) or, with
+    ``every_row``, from every other row (Gauss-Jordan on [M | I]).  A row with
+    a_ik != 0 becomes (a_kk row_i - a_ik row_k) / prev, exact as every entry
+    is then a minor (Bareiss, Math. Comp. 1968).  A row with a_ik == 0 would
+    only be scaled by a_kk / prev: it stays stale, holding its value times
+    scale[i] / prev, until one exact division brings it up to date when it
+    is next used.  Only the live columns k+1.. are updated: finished pivot
+    columns are never read again.  Returns (sign of the row swaps, last
+    pivot, scales), or None when those columns are singular.
     """
-    n = len(M)
-    if not n or any(len(r) != n for r in M):
-        raise ShapeError("determinant requires a nonempty square matrix")
-    a = [list(r) for r in M]
     scale = [1] * n
     sign = prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if not a[k][k]:
             piv = next((i for i in range(k + 1, n) if a[i][k]), None)
             if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            scale[k], scale[piv] = scale[piv], scale[k]
-            sign = -sign
-        pk = a[k]
-        if scale[k] != prev:
-            b = scale[k]
-            pk = [x * prev // b for x in pk]
-        akk = pk[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            aik = row[k]
-            if aik:
-                b = scale[i]
-                if b != prev:  # bring the row up to date first
-                    row = [x * prev // b for x in row]
-                    aik = row[k]
-                a[i] = [(akk * x - aik * y) // prev for x, y in zip(row, pk)]
-                scale[i] = akk
-        prev = akk
-    return sign * a[-1][-1] * prev // scale[-1]
-
-
-def inverse_scaled(M):
-    """Return (A, s) with integer A and M @ A == s * I, s = det(M).
-
-    A is the adjugate of M, from one fraction-free Gauss-Jordan elimination
-    of [M | I] with the stale rows of ``determinant``.  Step k updates only
-    the live columns k+1..: finished pivot columns are never read again.
-    All n^2 entries of M @ A are checked against s * I from M's nonzero
-    entries, raising ``InternalInconsistencyError`` even under python -O.
-    """
-    n = len(M)
-    if not n or any(len(r) != n for r in M):
-        raise ShapeError("inverse requires a nonempty square matrix")
-    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M)]
-    scale = [1] * n  # row i holds its value times scale[i] / prev
-    sign = prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != k:
+                return None
             a[k], a[piv] = a[piv], a[k]
             scale[k], scale[piv] = scale[piv], scale[k]
             sign = -sign
@@ -88,7 +47,8 @@ def inverse_scaled(M):
             pk[k:] = [x * prev // b for x in pk[k:]]
         live = slice(k + 1, None)
         akk, pivot = pk[k], pk[live]
-        for i, row in enumerate(a):
+        for i in range(0 if every_row else k + 1, n):
+            row = a[i]
             aik = row[k]
             if aik and i != k:
                 b = scale[i]
@@ -99,6 +59,37 @@ def inverse_scaled(M):
                 scale[i] = akk
         scale[k] = akk
         prev = akk
+    return sign, prev, scale
+
+
+def determinant(M) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination, ``_eliminate``."""
+    n = len(M)
+    if not n or any(len(r) != n for r in M):
+        raise ShapeError("determinant requires a nonempty square matrix")
+    done = _eliminate([list(r) for r in M], n, False)
+    if done is None:
+        return 0
+    sign, prev, _ = done
+    return sign * prev
+
+
+def inverse_scaled(M):
+    """Return (A, s) with integer A and M @ A == s * I, s = det(M).
+
+    A is the adjugate of M, from one fraction-free Gauss-Jordan elimination
+    of [M | I] by ``_eliminate``.  All n^2 entries of M @ A are checked
+    against s * I from M's nonzero entries, raising
+    ``InternalInconsistencyError`` even under python -O.
+    """
+    n = len(M)
+    if not n or any(len(r) != n for r in M):
+        raise ShapeError("inverse requires a nonempty square matrix")
+    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(M)]
+    done = _eliminate(a, n, True)
+    if done is None:
+        raise SingularMatrixError("matrix is singular")
+    sign, prev, scale = done
     # [M | I] became [d I | d M^-1], with d = sign * det(M) after the row swaps
     s = sign * prev
     A = [[sign * x * prev // b for x in row[n:]] for row, b in zip(a, scale)]

@@ -348,25 +348,25 @@ def test_lattice_points_contain_vertices_and_origin():
     assert all(tuple(r) in pts for r in S.vertex_matrix)
 
 
-def test_dilate_scan_cap():
+def test_dilate_scan_cap(monkeypatch):
     S = splx.build(g.family("cycle", 5))
+    monkeypatch.setattr(ehrhart, "DEFAULT_SCAN_CAP", 5)
     with pytest.raises(FeasibilityError):
-        ehrhart.count_dilate_points(S, 3, cap=5)
+        ehrhart.count_dilate_points(S, 3)
 
 
-def test_negative_caps_are_domain_errors():
+def test_negative_caps_are_domain_errors(monkeypatch):
     S = splx.build(g.family("cycle", 6))
     with pytest.raises(DomainError):
         analysis.analyze(g.family("cycle", 6), fpp_cap=-3)
     with pytest.raises(DomainError):
         analysis.is_idp(S, cap=-1)
-    with pytest.raises(DomainError):
-        ehrhart.count_dilate_points(S, 1, cap=-1)
     # a cap of 0 is valid: it refuses every walk and every scan
     with pytest.raises(FeasibilityError):
         ehrhart.fpp_points(S, cap=0)
+    monkeypatch.setattr(ehrhart, "DEFAULT_SCAN_CAP", 0)
     with pytest.raises(FeasibilityError):
-        ehrhart.count_dilate_points(S, 0, cap=0)
+        ehrhart.count_dilate_points(S, 0)
 
 
 def test_dilate_oracle_does_not_build_the_walk():

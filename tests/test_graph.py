@@ -58,6 +58,25 @@ def test_graph_rejects_a_non_integral_n(n):
         Graph(n, [(1, 2), (2, 3)])
 
 
+def test_float_endpoints_are_refused_not_truncated():
+    # int() would read these as the edges (1, 2), (1, 4) and (2, 4)
+    P3 = g.family("path", 3)
+    for build in (
+        lambda: Graph(3, [(1.9, 2.2), (2, 3)]),
+        lambda: g.bridge(P3, P3, 1.5, 1),
+        lambda: g.attach_path(P3, 2.5, 1),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert Graph(3, [("1", 2), (2, "3")]) == P3
+
+
+def test_unseeded_random_graphs_equal_seed_0():
+    for n in (2, 8, 15):
+        assert g.family("random_tree", n) == g.family("random_tree", n, seed=0)
+        assert g.random_connected_graph(n) == g.random_connected_graph(n, seed=0)
+
+
 def _constructor_input(rng):
     """(n, edges) of a small Graph input, often with one or more faults."""
     n = rng.choice((0, 1, 1, 2, 3, 4, 5, 6))

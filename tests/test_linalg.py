@@ -236,13 +236,13 @@ LIFTED = tuple(
 )
 INVERSE_MUTATIONS = {
     "zero-multiplier row left unscaled when next used": (
-        linalg.inverse_scaled,
+        linalg._eliminate,
         "row[k:] = [x * prev // b for x in row[k:]]",
         "pass",
         SWAP_MATRICES + LIFTED,
     ),
     "pivot row left unscaled": (
-        linalg.inverse_scaled,
+        linalg._eliminate,
         "pk[k:] = [x * prev // b for x in pk[k:]]",
         "pass",
         SWAP_MATRICES + LIFTED,
@@ -256,13 +256,13 @@ INVERSE_MUTATIONS = {
         SWAP_MATRICES,
     ),
     "scale not swapped with its row": (
-        linalg.inverse_scaled,
+        linalg._eliminate,
         "scale[k], scale[piv] = scale[piv], scale[k]",
         "pass",
         SWAP_MATRICES,
     ),
     "live columns start one column late": (
-        linalg.inverse_scaled,
+        linalg._eliminate,
         "live = slice(k + 1, None)",
         "live = slice(k + 2, None)",
         SWAP_MATRICES + LIFTED,
@@ -285,6 +285,28 @@ def test_inverse_mutations_are_caught(monkeypatch, mutation):
     for M in matrices:
         with pytest.raises(InternalInconsistencyError, match="adjugate check"):
             linalg.inverse_scaled(M)
+
+
+# the determinant of every SWAP_MATRICES entry survives a scale left behind
+# by a row swap, as the two misplaced scales cancel; this one's does not
+UNCANCELLED_SWAP = (
+    (3, 0, 0, -1, 1),
+    (-1, 0, 0, 0, 2),
+    (0, -1, 0, 3, 2),
+    (0, 2, 2, 0, 0),
+    (2, -1, 0, 0, 0),
+)
+
+
+@pytest.mark.parametrize(
+    "mutation", sorted(k for k, v in INVERSE_MUTATIONS.items() if v[0] is linalg._eliminate)
+)
+def test_elimination_mutations_break_the_determinant(monkeypatch, mutation):
+    fn, old, new, _ = INVERSE_MUTATIONS[mutation]
+    matrices = SWAP_MATRICES + (UNCANCELLED_SWAP,)
+    assert all(linalg.determinant(M) == determinant_by_cofactors(M) for M in matrices)
+    monkeypatch.setattr(linalg, fn.__name__, mutant(fn, old, new))
+    assert any(linalg.determinant(M) != determinant_by_cofactors(M) for M in matrices)
 
 
 def test_adjugate_check_raises_under_optimize():
